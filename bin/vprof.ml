@@ -1247,7 +1247,11 @@ let store_merge_cmd =
         exit 1
     in
     let merged = Profile.merge (List.map load keys) in
-    Store.merge_into s ~program:prog ~key:into merged;
+    (* get-then-put, not transactional: two concurrent merges into one
+       key can lose one side's increment *)
+    (match Store.get_profile s ~program:prog ~key:into with
+     | None -> Store.put_profile s ~key:into merged
+     | Some old -> Store.put_profile s ~key:into (Profile.merge [ old; merged ]));
     Printf.printf "merged %d profile%s into %s (%s profiled events)\n"
       (List.length keys)
       (if List.length keys = 1 then "" else "s")

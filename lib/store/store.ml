@@ -68,9 +68,13 @@ end
 
 type backend = Memory | Dir of string
 
+(* [e_crc] is the CRC-32 of [e_payload], recorded when the bytes were
+   installed: manifest rows are rendered from it, so no commit re-hashes a
+   payload. Only [set_entry] builds an entry, and it sets both. *)
 type entry = {
-  mutable e_payload : string;
-  mutable e_gen : int;
+  e_payload : string;
+  e_crc : int;
+  e_gen : int;
   (* some on-disk copy of this entry is missing or corrupt; the next
      [get] heals it (read-repair), as do [repair] and recovery *)
   mutable e_degraded : bool;
@@ -209,8 +213,7 @@ let done_line key ~gen ~bytes ~crc =
        (Crc32.to_hex crc))
 
 let entry_line key (e : entry) =
-  done_line key ~gen:e.e_gen ~bytes:(String.length e.e_payload)
-    ~crc:(Crc32.string e.e_payload)
+  done_line key ~gen:e.e_gen ~bytes:(String.length e.e_payload) ~crc:e.e_crc
 
 let gen_line g = checked_line (Printf.sprintf "gen %d" g)
 let replicas_line m = checked_line (Printf.sprintf "replicas %d" m)
@@ -266,6 +269,15 @@ let heal_copies dir key payload copies =
   !healed
 
 let drop_lost t key = t.s_lost <- List.filter (fun l -> l.l_key <> key) t.s_lost
+
+(* Installs [payload] under [key]. [crc] must be its CRC-32, taken from
+   bytes just written or just verified against it. A new key joins the
+   commit order; a lost row for it is retired. Callers hold [s_mu]. *)
+let set_entry t key ~payload ~crc ~gen ~degraded =
+  if not (Hashtbl.mem t.s_table key) then t.s_order <- key :: t.s_order;
+  Hashtbl.replace t.s_table key
+    { e_payload = payload; e_crc = crc; e_gen = gen; e_degraded = degraded };
+  drop_lost t key
 
 (* --- loading (salvage-shaped: stop at the first damaged line) --- *)
 
@@ -334,9 +346,7 @@ let parse_entry t line =
          in
          match scan 0 with
          | Some (i, payload) ->
-           Hashtbl.replace t.s_table key
-             { e_payload = payload; e_gen = gen; e_degraded = i > 0 };
-           t.s_order <- key :: t.s_order
+           set_entry t key ~payload ~crc:pcrc ~gen ~degraded:(i > 0)
          | None ->
            t.s_lost <-
              { l_key = key; l_gen = gen; l_bytes = bytes; l_crc = pcrc }
@@ -422,16 +432,7 @@ let recover t =
             (match scan 0 with
              | Some payload ->
                ignore (heal_copies dir key payload t.s_copies);
-               (match Hashtbl.find_opt t.s_table key with
-                | Some e ->
-                  e.e_payload <- payload;
-                  e.e_gen <- gen;
-                  e.e_degraded <- false
-                | None ->
-                  Hashtbl.replace t.s_table key
-                    { e_payload = payload; e_gen = gen; e_degraded = false };
-                  t.s_order <- key :: t.s_order);
-               drop_lost t key;
+               set_entry t key ~payload ~crc ~gen ~degraded:false;
                Obs.Metrics.incr m_recovered
              | None ->
                (* no copy holds the intended bytes: the put died before
@@ -567,6 +568,7 @@ let put t ~key ~payload =
       Obs.Trace.with_span ~cat:"store" "store.commit" @@ fun () ->
       Fault.point ~site:"store.commit";
       Obs.Metrics.add m_bytes_written (String.length payload);
+      let crc = Crc32.string payload in
       (match t.s_backend with
        | Memory -> ()
        | Dir dir ->
@@ -577,18 +579,14 @@ let put t ~key ~payload =
             rolled back on the next open from the journal record *)
          Journal.append_intent ~dir
            (Journal.Put
-              { key; gen = t.s_gen; bytes = String.length payload;
-                crc = Crc32.string payload });
+              { key; gen = t.s_gen; bytes = String.length payload; crc });
          for i = 0 to t.s_copies - 1 do
            Fault.point ~site:"store.payload.write";
            let d = copy_dir dir i in
            ensure_dir d;
            write_atomic ~dir:d (payload_path dir i key) payload
          done);
-      if not (Hashtbl.mem t.s_table key) then t.s_order <- key :: t.s_order;
-      Hashtbl.replace t.s_table key
-        { e_payload = payload; e_gen = t.s_gen; e_degraded = false };
-      drop_lost t key;
+      set_entry t key ~payload ~crc ~gen:t.s_gen ~degraded:false;
       persist t;
       match t.s_backend with
       | Memory -> ()
@@ -825,8 +823,8 @@ let recover_from_mirror t ~program ~key =
           (match scan 0 with
            | None -> None
            | Some (bytes, p) ->
-             e.e_payload <- bytes;
-             e.e_degraded <- false;
+             set_entry t key ~payload:bytes ~crc:(Crc32.string bytes)
+               ~gen:e.e_gen ~degraded:false;
              ignore (heal_copies dir key bytes t.s_copies);
              persist t;
              Obs.Metrics.incr m_read_repairs;
@@ -847,8 +845,3 @@ let get_profile t ~program ~key =
              miss, so the caller recomputes and the next put overwrites *)
           quarantine_entry t key;
           None))
-
-let merge_into t ~program ~key p =
-  match get_profile t ~program ~key with
-  | None -> put_profile t ~key p
-  | Some old -> put_profile t ~key (Profile.merge [ old; p ])

@@ -50,6 +50,20 @@
     tries the mirrors for a decodable copy and otherwise quarantines the
     poisoned files so they are never re-read.
 
+    {b Cost.} Each entry records its payload's length and CRC-32, and
+    manifest rows are rendered from those records, so no commit
+    re-hashes another entry's bytes. {!put} hashes its payload once,
+    writes it to every copy tree and rewrites the manifest; {!gc} and
+    {!new_generation} rewrite the manifest (gc also deletes the dead
+    entries' files). Each costs its own payload plus one line per
+    manifest row, whatever the size of the store. {!open_dir} reads
+    and hashes every payload once, to check it against its row.
+    {!verify} reads every copy once and section-walks each v3 payload
+    once. {!get} is a table lookup. The invariant behind this: an
+    entry's recorded CRC changes only together with its bytes — on
+    {!put}, on load, on journal roll-forward and on mirror recovery —
+    and always from bytes just written or just checked against it.
+
     {b Generations.} The manifest carries a generation counter. A writing
     invocation calls {!new_generation} once; entries committed after that
     are stamped with the new generation, and {!gc} [~keep:n] drops every
@@ -209,8 +223,3 @@ val put_profile : t -> key:string -> Profile.t -> unit
     otherwise quarantines the poisoned payload files and drops the
     entry, so the caller recomputes and the next put overwrites. *)
 val get_profile : t -> program:Asm.program -> key:string -> Profile.t option
-
-(** Merges [p] into the entry at [key] with {!Profile.merge} (the entry
-    is created if absent). Get-then-put, not transactional: concurrent
-    merges to one key can lose one side's increment. *)
-val merge_into : t -> program:Asm.program -> key:string -> Profile.t -> unit

@@ -25,9 +25,12 @@ let string s = sub s 0 (String.length s)
 
 let to_hex c = Printf.sprintf "%08x" (c land 0xFFFFFFFF)
 
+(* Every digit is checked here: [int_of_string] alone would also accept
+   an underscore between digits. *)
+let is_hex_digit = function
+  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+  | _ -> false
+
 let of_hex s =
-  if String.length s <> 8 then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some v when v >= 0 -> Some v
-    | _ -> None
+  if String.length s <> 8 || not (String.for_all is_hex_digit s) then None
+  else int_of_string_opt ("0x" ^ s)

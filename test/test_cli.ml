@@ -311,6 +311,63 @@ let test_store_get_and_missing_key () =
         Alcotest.(check bool) "names the key" true
           (Astring_contains.contains out "no-such-key"))
 
+(* [store merge] merges into an absent key and into an existing one; each
+   time the entry, read back through [store get -w], is Profile.merge of
+   the command's inputs. *)
+let test_store_merge_matches_profile_merge () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      with_temp_files [ ".merged" ] @@ function
+      | [ merged_out ] ->
+        List.iter
+          (fun sel ->
+            let code, _ =
+              run_cli
+                (Printf.sprintf "profile -w li -t 3 -s %s --store %s" sel
+                   (Filename.quote dir))
+            in
+            Alcotest.(check int) ("seed the " ^ sel ^ " profile") 0 code)
+          [ "all"; "loads" ];
+        let prog = (Workloads.find "li").Workload.wbuild Workload.Test in
+        let s = Store.open_dir dir in
+        let load key =
+          match Store.get_profile s ~program:prog ~key with
+          | Some p -> p
+          | None -> Alcotest.failf "seeded entry %s does not decode" key
+        in
+        let k1, k2 =
+          match Store.entries s with
+          | [ a; b ] -> (a.Store.i_key, b.Store.i_key)
+          | es -> Alcotest.failf "expected two entries, found %d" (List.length es)
+        in
+        let p1 = load k1 and p2 = load k2 in
+        let merge_into_m keys ~expected =
+          let code, out =
+            run_cli
+              (Printf.sprintf "store merge --store %s -w li --into m %s"
+                 (Filename.quote dir)
+                 (String.concat " " (List.map Filename.quote keys)))
+          in
+          Alcotest.(check int) "store merge" 0 code;
+          Alcotest.(check bool) "reports the merge" true
+            (Astring_contains.contains out
+               (Printf.sprintf "merged %d profile" (List.length keys)));
+          let code, _ =
+            run_cli
+              (Printf.sprintf "store get --store %s -w li m -o %s"
+                 (Filename.quote dir) (Filename.quote merged_out))
+          in
+          Alcotest.(check int) "store get -w" 0 code;
+          Alcotest.(check string) "entry equals Profile.merge of the inputs"
+            (Profile_io.to_string expected) (read_file merged_out)
+        in
+        let first = Profile.merge [ p1; p2 ] in
+        merge_into_m [ k1; k2 ] ~expected:first;
+        merge_into_m [ k2 ] ~expected:(Profile.merge [ first; Profile.merge [ p2 ] ])
+      | _ -> assert false)
+
 (* ---- resource governance through the binary -----------------------
 
    The exit-code contract grows exit 3 (resource budget exceeded), and a
@@ -553,6 +610,8 @@ let suite =
       test_store_profile_and_inspection_subcommands;
     Alcotest.test_case "store get and missing key" `Slow
       test_store_get_and_missing_key;
+    Alcotest.test_case "store merge matches Profile.merge" `Slow
+      test_store_merge_matches_profile_merge;
     Alcotest.test_case "store verify/repair/scrub cycle" `Slow
       test_store_verify_repair_scrub_cycle;
     Alcotest.test_case "kill -9 mid-put never loses an acknowledged profile"

@@ -1,6 +1,6 @@
 (* The profile store: fingerprint keys, both backends' get/put/reload
-   behavior, checksum distrust, generations + gc, and the profile-entry
-   layer (v3 bytes under Profile.merge semantics). *)
+   behavior, checksum distrust, generations + gc, the profile-entry layer
+   (v3 bytes), and every path that replaces an entry's bytes. *)
 
 let temp_dir () =
   let path = Filename.temp_file "vprof_store" "" in
@@ -209,19 +209,6 @@ let test_decode_failure_is_a_miss () =
   Alcotest.(check int) "counted" (d0 + 1)
     (counter_value "store.decode_failures")
 
-let test_merge_into_matches_profile_merge () =
-  let prog = program () in
-  let p = Profile.run prog in
-  let s = Store.create_mem () in
-  Store.merge_into s ~program:prog ~key:"m" p;
-  Store.merge_into s ~program:prog ~key:"m" p;
-  match Store.get_profile s ~program:prog ~key:"m" with
-  | None -> Alcotest.fail "expected a merged profile"
-  | Some merged ->
-    Alcotest.(check string) "equals Profile.merge [p; p]"
-      (Profile_io.to_string (Profile.merge [ p; p ]))
-      (Profile_io.to_string merged)
-
 (* --- durability & self-healing ------------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -360,6 +347,190 @@ let test_decode_failure_quarantined_on_disk () =
       Alcotest.(check (option string)) "absent after reopen" None
         (Store.find s' "p"))
 
+(* --- paths that replace an entry's bytes ----------------------------
+
+   Each installs new bytes under an existing key. The manifest row written
+   afterwards must carry the checksum of the new bytes: a stale one would
+   match no copy on the next open, and the entry would come back lost. *)
+
+(* A three-instruction program: [program ()]'s profile names pcs outside
+   it, so those bytes pass their checksum yet never decode against it. *)
+let small_program () =
+  let open Isa in
+  let b = Asm.create () in
+  Asm.proc b "main" (fun b ->
+      Asm.ldi b t0 5L;
+      Asm.addi b ~dst:t1 t0 3L;
+      Asm.halt b);
+  Asm.assemble b ~entry:"main"
+
+let test_recover_from_mirror_survives_reopen () =
+  with_dir (fun dir ->
+      let small = small_program () in
+      let small_profile = Profile.run small in
+      let small_bytes = Profile_io.to_binary small_profile in
+      let want = Profile_io.to_string small_profile in
+      let s = Store.open_dir ~replicas:1 dir in
+      Store.put_profile s ~key:"p" (Profile.run (program ()));
+      (* the primary keeps its CRC-valid bytes; the replica now holds a
+         profile of [small] *)
+      let name = List.hd (payload_files dir) in
+      write_file (Filename.concat (Filename.concat dir "replica1") name)
+        small_bytes;
+      let served s =
+        match Store.get_profile s ~program:small ~key:"p" with
+        | Some p -> Profile_io.to_string p
+        | None -> Alcotest.fail "expected the replica's profile"
+      in
+      let s = Store.open_dir dir in
+      Alcotest.(check string) "replica's profile served" want (served s);
+      Alcotest.(check string) "primary healed from the replica" small_bytes
+        (read_file (Filename.concat dir name));
+      let s' = Store.open_dir dir in
+      Alcotest.(check (option string)) "entry survives a reopen"
+        (Some small_bytes) (Store.find s' "p");
+      Alcotest.(check string) "and still decodes" want (served s');
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s'));
+      Alcotest.(check int) "nothing lost" 0 (Store.stats s').Store.st_lost)
+
+let test_roll_forward_over_existing_entry () =
+  with_dir (fun dir ->
+      let s = Store.open_dir ~replicas:1 dir in
+      Store.put s ~key:"k" ~payload:"old bytes";
+      (* a crash mid-put of new bytes: the journal holds the intent, the
+         primary already has the new bytes, the replica and the manifest
+         still have the old ones *)
+      let fresh = "new bytes, longer than the old" in
+      Journal.append_intent ~dir
+        (Journal.Put
+           { key = "k"; gen = Store.generation s; bytes = String.length fresh;
+             crc = Crc32.string fresh });
+      let name = List.hd (payload_files dir) in
+      write_file (Filename.concat dir name) fresh;
+      let s' = Store.open_dir dir in
+      Alcotest.(check (option string)) "rolled forward" (Some fresh)
+        (Store.find s' "k");
+      Alcotest.(check string) "replica healed" fresh
+        (read_file (Filename.concat (Filename.concat dir "replica1") name));
+      let s'' = Store.open_dir dir in
+      Alcotest.(check (option string)) "still served after a second reopen"
+        (Some fresh) (Store.find s'' "k");
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s''));
+      Alcotest.(check int) "nothing lost" 0 (Store.stats s'').Store.st_lost)
+
+(* Random commit sequences against a model: a key maps to the bytes and
+   the generation of its last put. *)
+type op = Put of int * string | Gc of int | New_generation | Reopen
+
+(* a space and a '%' exercise the manifest's key escaping *)
+let model_keys = [| "a"; "b key"; "c%20"; "d" |]
+
+let gen_payload =
+  let open QCheck.Gen in
+  frequency
+    [ (1, return "");
+      (4, string_size ~gen:char (int_range 1 64));
+      (2,
+       map2
+         (fun n seed ->
+           String.init n (fun i ->
+               Char.chr (((i * ((2 * seed) + 1)) + seed) land 0xFF)))
+         (int_range 1024 70_000) (int_bound 255)) ]
+
+let gen_op =
+  let open QCheck.Gen in
+  frequency
+    [ (6,
+       map2 (fun k p -> Put (k, p))
+         (int_bound (Array.length model_keys - 1))
+         gen_payload);
+      (1, map (fun keep -> Gc keep) (int_bound 3));
+      (2, return New_generation);
+      (2, return Reopen) ]
+
+let print_case (replicas, ops) =
+  Printf.sprintf "replicas=%d [%s]" replicas
+    (String.concat "; "
+       (List.map
+          (function
+            | Put (k, p) ->
+              Printf.sprintf "put %S (%d bytes)" model_keys.(k) (String.length p)
+            | Gc keep -> Printf.sprintf "gc ~keep:%d" keep
+            | New_generation -> "new_generation"
+            | Reopen -> "reopen")
+          ops))
+
+let prop_commits_match_model =
+  QCheck.Test.make ~count:40
+    ~name:"put/overwrite/gc/generation/reopen sequences match a model"
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(pair (int_bound 1) (list_size (int_range 1 25) gen_op)))
+    (fun (replicas, ops) ->
+      let dir = temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let s = ref (Store.open_dir ~replicas dir) in
+          let model = Hashtbl.create 8 in
+          let gen = ref 0 in
+          let reopen () =
+            s := Store.open_dir dir;
+            let want =
+              Hashtbl.fold
+                (fun k (p, g) acc -> (k, g, String.length p) :: acc)
+                model []
+              |> List.sort compare
+            in
+            let got =
+              List.map
+                (fun (i : Store.info) -> (i.Store.i_key, i.i_gen, i.i_bytes))
+                (Store.entries !s)
+            in
+            if got <> want then
+              QCheck.Test.fail_reportf "live keys: got [%s], want [%s]"
+                (String.concat "; " (List.map (fun (k, _, _) -> k) got))
+                (String.concat "; " (List.map (fun (k, _, _) -> k) want));
+            Array.iter
+              (fun k ->
+                let want = Option.map fst (Hashtbl.find_opt model k) in
+                if Store.find !s k <> want then
+                  QCheck.Test.fail_reportf "key %S served the wrong bytes" k)
+              model_keys;
+            if Store.generation !s <> !gen then
+              QCheck.Test.fail_reportf "generation %d, want %d"
+                (Store.generation !s) !gen;
+            if not (Store.check_clean (Store.verify !s)) then
+              QCheck.Test.fail_reportf "verify is not clean";
+            if (Store.stats !s).Store.st_lost <> 0 then
+              QCheck.Test.fail_reportf "%d lost rows"
+                (Store.stats !s).Store.st_lost
+          in
+          List.iter
+            (function
+              | Put (k, payload) ->
+                Store.put !s ~key:model_keys.(k) ~payload;
+                Hashtbl.replace model model_keys.(k) (payload, !gen)
+              | Gc keep ->
+                let dead =
+                  Hashtbl.fold
+                    (fun k (_, g) acc -> if g <= !gen - keep then k :: acc else acc)
+                    model []
+                in
+                List.iter (Hashtbl.remove model) dead;
+                let removed = Store.gc !s ~keep in
+                if removed <> List.length dead then
+                  QCheck.Test.fail_reportf "gc ~keep:%d removed %d, want %d"
+                    keep removed (List.length dead)
+              | New_generation ->
+                incr gen;
+                ignore (Store.new_generation !s)
+              | Reopen -> reopen ())
+            ops;
+          reopen ();
+          true))
+
 let suite =
   [ Alcotest.test_case "fingerprint key stable and distinct" `Quick
       test_fingerprint_key_stable_and_distinct;
@@ -381,8 +552,6 @@ let suite =
       test_profile_roundtrip_exact;
     Alcotest.test_case "decode failure is a miss" `Quick
       test_decode_failure_is_a_miss;
-    Alcotest.test_case "merge_into matches Profile.merge" `Quick
-      test_merge_into_matches_profile_merge;
     Alcotest.test_case "replicas mirror and heal" `Quick
       test_replicas_mirror_and_heal;
     Alcotest.test_case "scrub quarantines, never deletes" `Quick
@@ -392,4 +561,9 @@ let suite =
     Alcotest.test_case "orphan tmp swept on open" `Quick
       test_orphan_tmp_swept_on_open;
     Alcotest.test_case "decode failure quarantined on disk" `Quick
-      test_decode_failure_quarantined_on_disk ]
+      test_decode_failure_quarantined_on_disk;
+    Alcotest.test_case "mirror recovery survives reopen" `Quick
+      test_recover_from_mirror_survives_reopen;
+    Alcotest.test_case "roll-forward over an existing entry" `Quick
+      test_roll_forward_over_existing_entry;
+    QCheck_alcotest.to_alcotest prop_commits_match_model ]
