@@ -160,9 +160,15 @@ let print_driver_scaling () =
   Printf.printf
     "full-profile job set (%d workloads): 1 domain %.3fs, %d domains %.3fs (%.2fx)\n"
     (List.length Workloads.all) serial n parallel (serial /. parallel);
-  let exp_serial = time_wall (fun () -> ignore (Experiments.run_all ~jobs:1 ())) in
+  let run_suite jobs =
+    ignore
+      (Experiments.run
+         ~config:{ Experiments.default_run_config with rc_jobs = Some jobs }
+         Experiments.all)
+  in
+  let exp_serial = time_wall (fun () -> run_suite 1) in
   Harness.clear_cache ();
-  let exp_parallel = time_wall (fun () -> ignore (Experiments.run_all ~jobs:n ())) in
+  let exp_parallel = time_wall (fun () -> run_suite n) in
   Printf.printf
     "experiment suite (e01..e24, cold caches): 1 domain %.3fs, %d domains %.3fs (%.2fx)\n"
     exp_serial n exp_parallel (exp_serial /. exp_parallel)
@@ -510,9 +516,19 @@ let () =
     print_endline "================================================================";
     print_endline " Part 1: paper tables and figures (experiments e01..e24)";
     print_endline "================================================================";
-    (* parallel across the recommended domain count; the output bytes are
-       identical to a serial run *)
-    Experiments.print_all ~jobs:0 ();
+    (* parallel across the recommended domain count; printing happens
+       afterwards in registry order, so the bytes match a serial run *)
+    let rep =
+      Experiments.run
+        ~config:{ Experiments.default_run_config with rc_jobs = Some 0 }
+        Experiments.all
+    in
+    List.iter
+      (fun (spec, tables) -> print_string (Experiments.render spec tables))
+      rep.Experiments.results;
+    List.iter
+      (fun f -> prerr_endline (Experiments.string_of_failure f))
+      rep.Experiments.failures;
     print_endline "================================================================";
     print_endline " Part 2: profiler wall-clock micro-benchmarks (Bechamel)";
     print_endline "================================================================";

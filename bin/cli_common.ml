@@ -118,26 +118,10 @@ let store_arg =
            anything, and fresh results are committed for the next run. \
            Inspect with $(b,vprof store).")
 
-let replicas_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:
-          "Keep N mirror trees ($(i,DIR)/replica1..N) alongside the \
-           primary store: every commit writes all copies, a corrupt \
-           primary payload is served (and healed) from the first intact \
-           mirror, and $(b,vprof store repair) restores damaged copies \
-           byte-identical. Growing N mirrors existing entries \
-           immediately; an existing store's count is never shrunk.")
-
-(* The flag's 0 default means "whatever the store already has" — only a
-   positive count is forwarded, so opening never implicitly shrinks. *)
-let replicas_opt n = if n > 0 then Some n else None
-
 (* Opening for a profiling run bumps the generation once, so [store gc
    --keep N] has invocation-granular history to collect against. *)
-let open_store ?(replicas = 0) dir =
-  let s = Store.open_dir ?replicas:(replicas_opt replicas) dir in
+let open_store dir =
+  let s = Store.open_dir dir in
   ignore (Store.new_generation s);
   s
 

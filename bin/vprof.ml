@@ -8,8 +8,9 @@
    Cli_common; any command that needs more than one profiler run pushes
    the runs through the parallel driver (lib/driver), so -j N parallelizes
    them while keeping output byte-identical to -j 1. Experiment runs go
-   through the supervisor (retry/record instead of abort) and can be made
-   crash-safe with --checkpoint/--resume.
+   through the supervisor (retry/record instead of abort) and are made
+   crash-safe by --store (alias --checkpoint): a rerun serves what the
+   killed run committed.
 
    Workload-running commands also accept --deadline / --max-heap /
    --degrade (Cli_common.governance_arg): the run executes under a
@@ -104,7 +105,7 @@ let save_arg =
 
 let profile_cmd =
   let run (w : Workload.t) input selection top tnv_size clear_interval save
-      fuel jobs shards store replicas stats trace metrics gov =
+      fuel jobs shards store stats trace metrics gov =
     with_obs ~trace ~metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let vconfig =
@@ -133,7 +134,7 @@ let profile_cmd =
       match store with
       | None -> compute ()
       | Some dir ->
-        let s = open_store ~replicas dir in
+        let s = open_store dir in
         let prog = w.wbuild input in
         let sel_name =
           match selection with
@@ -218,7 +219,7 @@ let profile_cmd =
     Term.(
       const run $ workload_arg $ input_arg $ selection_arg $ top_arg
       $ tnv_size_arg $ clear_interval_arg $ save_arg $ fuel_arg $ jobs_arg
-      $ shards_arg $ store_arg $ replicas_arg $ stats_arg $ trace_arg
+      $ shards_arg $ store_arg $ stats_arg $ trace_arg
       $ metrics_arg $ governance_arg)
 
 (* memory *)
@@ -710,23 +711,21 @@ let csv_arg =
     & info [ "csv" ] ~docv:"DIR"
         ~doc:"Also write each produced table to DIR as a CSV file.")
 
-let checkpoint_arg =
+(* On experiment/experiments --checkpoint is another name for --store:
+   a grid committed as it runs is a store filled as it runs. *)
+let experiments_store_arg =
   Arg.(
-    value & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"DIR"
+    value
+    & opt (some string) None
+    & info [ "store"; "checkpoint" ] ~docv:"DIR"
         ~doc:
-          "Commit each finished experiment to DIR (crash-safe manifest + \
-           payload files) as the run progresses; combine with \
-           $(b,--resume) to skip work a previous run already committed.")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "With $(b,--checkpoint): reload the directory's committed \
-           results and run only what is missing. Without it the \
-           directory is restarted from scratch.")
+          "Profile store directory: each finished experiment (and each \
+           value profile it needs) is committed to DIR as the run \
+           progresses, keyed by its fingerprint (experiment, fuel, \
+           shards). A later run with the same DIR serves what is already \
+           committed without executing it, so rerunning a killed suite \
+           finishes only the missing work, byte-identical to a \
+           straight-through run. Inspect with $(b,vprof store).")
 
 let retries_arg =
   Arg.(
@@ -776,38 +775,8 @@ let report_failures failures =
     (fun f -> prerr_endline (Experiments.string_of_failure f))
     failures
 
-(* The failure report lands next to the checkpoint data so CI can upload
-   it as an artifact whether or not the run succeeded. *)
-let write_failure_report dir (rep : string Supervisor.report) =
-  let path = Filename.concat dir "failures.txt" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      match Supervisor.failures rep with
-      | [] ->
-        Printf.fprintf oc "all %d experiments completed (%d from checkpoint)\n"
-          (List.length rep.Supervisor.outcomes)
-          (List.length
-             (List.filter
-                (fun (o : string Supervisor.outcome) ->
-                  o.Supervisor.o_attempts = 0
-                  && Result.is_ok o.Supervisor.o_result)
-                rep.Supervisor.outcomes))
-      | failures ->
-        List.iter
-          (fun (o : string Supervisor.outcome) ->
-            match o.Supervisor.o_result with
-            | Ok _ -> ()
-            | Error e ->
-              Printf.fprintf oc "%s: %s (after %d attempts)\n"
-                o.Supervisor.o_name
-                (Supervisor.string_of_error e)
-                o.Supervisor.o_attempts)
-          failures)
-
-let run_experiments id csv jobs shards checkpoint resume store replicas
-    retries fail_fast fuel trace metrics gov =
+let run_experiments id csv jobs shards store retries fail_fast fuel trace
+    metrics gov =
   let specs =
     if id = "all" then Experiments.all
     else
@@ -836,33 +805,28 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
      Mem_pressure trips per job, so a budgeted suite records failures
      (exit 1) rather than dying with exit 3 *)
   with_governance gov @@ fun () ->
-  match (checkpoint, store) with
-  | None, None ->
+  match store with
+  | None ->
     let rep = Experiments.run ~config specs in
     List.iter (fun r -> print_spec_tables csv r) rep.Experiments.results;
     if rep.Experiments.failures <> [] then begin
       report_failures rep.Experiments.failures;
       exit 1
     end
-  | ck_dir, store_dir ->
-    (* both --checkpoint and --store route through the rendered-payload
-       path: each experiment's bytes are committed as they land and
-       cached units are served without running (byte-identical output
-       either way, since [Experiments.render] is the payload) *)
+  | Some dir ->
+    (* the rendered-payload path: each experiment's bytes are committed
+       as they land and cached units are served without running
+       (byte-identical output either way, since [Experiments.render] is
+       the payload) *)
     if csv <> None then begin
       prerr_endline
         "vprof: --csv needs the experiments' tables, which \
-         --checkpoint/--store runs do not retain; use one or the other";
+         --store/--checkpoint runs do not retain; use one or the other";
       exit 2
     end;
-    let ck = Option.map (Checkpoint.create ~resume) ck_dir in
-    let st = Option.map (open_store ~replicas) store_dir in
     let rep =
       Experiments.run_strings
-        ~config:
-          { config with
-            Experiments.rc_checkpoint = ck;
-            Experiments.rc_store = st }
+        ~config:{ config with Experiments.rc_store = Some (open_store dir) }
         specs
     in
     List.iter
@@ -871,19 +835,17 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
         | Ok payload -> print_string payload
         | Error _ -> ())
       rep.Supervisor.outcomes;
-    (if st <> None then
-       (* visible hit accounting on stderr, so stdout stays byte-identical
-          between cold and warm runs *)
-       let served =
-         List.length
-           (List.filter
-              (fun (o : string Supervisor.outcome) ->
-                o.Supervisor.o_attempts = 0 && Result.is_ok o.Supervisor.o_result)
-              rep.Supervisor.outcomes)
-       in
-       Printf.eprintf "store: %d of %d experiments served from cache\n" served
-         (List.length rep.Supervisor.outcomes));
-    Option.iter (fun dir -> write_failure_report dir rep) ck_dir;
+    (* visible hit accounting on stderr, so stdout stays byte-identical
+       between cold and warm runs *)
+    let served =
+      List.length
+        (List.filter
+           (fun (o : string Supervisor.outcome) ->
+             o.Supervisor.o_attempts = 0 && Result.is_ok o.Supervisor.o_result)
+           rep.Supervisor.outcomes)
+    in
+    Printf.eprintf "store: %d of %d experiments served from cache\n" served
+      (List.length rep.Supervisor.outcomes);
     (match Supervisor.failures rep with
      | [] -> ()
      | failures ->
@@ -896,17 +858,12 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
                o.Supervisor.o_name o.Supervisor.o_attempts
                (Supervisor.string_of_error e))
          failures;
-       (match ck_dir with
-        | Some dir ->
-          Printf.eprintf
-            "%d of %d experiments failed; completed work is committed under \
-             %s — rerun with --resume to retry only the failures\n"
-            (List.length failures)
-            (List.length rep.Supervisor.outcomes)
-            dir
-        | None ->
-          Printf.eprintf "%d of %d experiments failed\n" (List.length failures)
-            (List.length rep.Supervisor.outcomes));
+       Printf.eprintf
+         "%d of %d experiments failed; completed work is committed under %s \
+          — rerun with the same directory to retry only the failures\n"
+         (List.length failures)
+         (List.length rep.Supervisor.outcomes)
+         dir;
        exit 1)
 
 (* fused *)
@@ -1086,8 +1043,8 @@ let experiment_cmd =
        ~doc:"Regenerate the paper's tables and figures (see DESIGN.md).")
     Term.(
       const run_experiments $ id_arg $ csv_arg $ jobs_arg $ shards_arg
-      $ checkpoint_arg $ resume_arg $ store_arg $ replicas_arg $ retries_arg
-      $ fail_fast_arg $ fuel_arg $ trace_arg $ metrics_arg $ governance_arg)
+      $ experiments_store_arg $ retries_arg $ fail_fast_arg $ fuel_arg
+      $ trace_arg $ metrics_arg $ governance_arg)
 
 let experiments_cmd =
   let all_arg =
@@ -1112,15 +1069,15 @@ let experiments_cmd =
              it with $(b,--trace)/$(b,--metrics) to validate the \
              telemetry pipeline cheaply.")
   in
-  let run all id smoke csv jobs shards checkpoint resume store replicas
-      retries fail_fast fuel trace metrics gov =
+  let run all id smoke csv jobs shards store retries fail_fast fuel trace
+      metrics gov =
     let id =
       if smoke then "e01"
       else if all then "all"
       else Option.value id ~default:"all"
     in
-    run_experiments id csv jobs shards checkpoint resume store replicas
-      retries fail_fast fuel trace metrics gov
+    run_experiments id csv jobs shards store retries fail_fast fuel trace
+      metrics gov
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -1128,13 +1085,13 @@ let experiments_cmd =
          "Run the experiment suite — all of it with $(b,--all) (or no ID), \
           in parallel with $(b,-j N); output is byte-identical to a serial \
           run. A failing experiment is retried, then recorded and \
-          reported instead of aborting the rest; $(b,--checkpoint) makes \
-          the run crash-safe and $(b,--resume) continues one.")
+          reported instead of aborting the rest; $(b,--store) (or its \
+          alias $(b,--checkpoint)) makes the run crash-safe, and a rerun \
+          with the same directory continues one.")
     Term.(
       const run $ all_arg $ id_arg $ smoke_arg $ csv_arg $ jobs_arg
-      $ shards_arg $ checkpoint_arg $ resume_arg $ store_arg $ replicas_arg
-      $ retries_arg $ fail_fast_arg $ fuel_arg $ trace_arg $ metrics_arg
-      $ governance_arg)
+      $ shards_arg $ experiments_store_arg $ retries_arg $ fail_fast_arg
+      $ fuel_arg $ trace_arg $ metrics_arg $ governance_arg)
 
 (* store *)
 
@@ -1297,7 +1254,6 @@ let store_stats_cmd =
     Table.add_row table [ "entries"; string_of_int st.Store.st_entries ];
     Table.add_row table [ "bytes"; Table.count st.Store.st_bytes ];
     Table.add_row table [ "generation"; string_of_int st.Store.st_generation ];
-    Table.add_row table [ "replicas"; string_of_int st.Store.st_replicas ];
     Table.add_row table [ "lost"; string_of_int st.Store.st_lost ];
     Table.print table
   in
@@ -1305,9 +1261,8 @@ let store_stats_cmd =
     (Cmd.info "stats" ~doc:"Entry count, total bytes and current generation.")
     Term.(const run $ store_dir_arg)
 
-(* verify / scrub / repair share one report rendering; verify is the CI
-   gate (exit 4 on any damage), repair exits 4 only when something was
-   beyond restoring (no valid copy in any tree). *)
+(* verify and scrub share one report rendering; verify is the CI gate
+   (exit 4 on any damage). *)
 let print_check dir what (c : Store.check) =
   let table =
     Table.create ~title:(Printf.sprintf "Store %s %s" what dir)
@@ -1317,7 +1272,6 @@ let print_check dir what (c : Store.check) =
   Table.add_row table [ "copies ok"; string_of_int c.Store.c_copies_ok ];
   Table.add_row table [ "copies bad"; string_of_int c.Store.c_copies_bad ];
   Table.add_row table [ "quarantined"; string_of_int c.Store.c_quarantined ];
-  Table.add_row table [ "repaired"; string_of_int c.Store.c_repaired ];
   Table.add_row table [ "lost"; string_of_int c.Store.c_lost ];
   Table.print table
 
@@ -1331,10 +1285,11 @@ let store_verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Read-only integrity survey: every copy of every entry is \
+         "Read-only integrity survey: every entry's payload file is \
           byte-compared against the checksummed manifest payload (v3 \
           profiles additionally get their sections walked). Exits 4 if \
-          any copy is missing, corrupt, or beyond recovery.")
+          any payload is missing or corrupt; the next run that needs such \
+          an entry recomputes it.")
     Term.(const run $ store_dir_arg)
 
 let store_scrub_cmd =
@@ -1345,25 +1300,10 @@ let store_scrub_cmd =
   Cmd.v
     (Cmd.info "scrub"
        ~doc:
-         "Like $(b,verify), but every corrupt payload copy is moved aside \
+         "Like $(b,verify), but every corrupt payload file is moved aside \
           to $(i,*.corrupt) — quarantined, never deleted — so poisoned \
-          bytes are not re-read. Follow with $(b,repair) to restore the \
-          quarantined copies from intact ones.")
-    Term.(const run $ store_dir_arg)
-
-let store_repair_cmd =
-  let run dir =
-    let s = Store.open_dir dir in
-    let c = Store.repair s in
-    print_check dir "repair" c;
-    if c.Store.c_lost > 0 then exit 4
-  in
-  Cmd.v
-    (Cmd.info "repair"
-       ~doc:
-         "Restore every damaged payload copy byte-identical from the \
-          healthiest surviving copy (primary or replica tree). Exits 4 \
-          if an entry has no valid copy left anywhere.")
+          bytes are not re-read. The next run that needs such an entry \
+          recomputes it.")
     Term.(const run $ store_dir_arg)
 
 let store_cmd =
@@ -1371,9 +1311,9 @@ let store_cmd =
     (Cmd.info "store"
        ~doc:
          "Inspect and manage a profile store directory (the $(b,--store) \
-          cache): ls, get, merge, gc, stats, verify, scrub, repair.")
+          cache): ls, get, merge, gc, stats, verify, scrub.")
     [ store_ls_cmd; store_get_cmd; store_merge_cmd; store_gc_cmd;
-      store_stats_cmd; store_verify_cmd; store_scrub_cmd; store_repair_cmd ]
+      store_stats_cmd; store_verify_cmd; store_scrub_cmd ]
 
 let () =
   let info =
@@ -1392,8 +1332,7 @@ let () =
      experiment); 2 usage error (bad flags, unknown workload or
      experiment — cmdliner's cli_error remapped); 3 resource budget
      exceeded (--deadline / --max-heap without --degrade); 4 store
-     integrity failure (store verify found damage, or store repair could
-     not restore an entry); 125 internal error. A machine trap (say, an
+     integrity failure (store verify found damage); 125 internal error. A machine trap (say, an
      exhausted --fuel budget)
      is a user-level outcome, not an internal error — report it cleanly;
      the driver re-raises worker exceptions on this domain, so this also

@@ -222,47 +222,6 @@ let run_jobs ?policy ?jobs ?(fuse = true) djobs =
     (Array.to_list slots
     |> List.map (function Some o -> o | None -> assert false))
 
-let run_strings ?policy ?jobs ?checkpoint named =
-  match checkpoint with
-  | None ->
-    supervise ?policy ?jobs
-      (List.map (fun (name, f) -> (name, None, fun ~fuel:_ -> f ())) named)
-  | Some ck ->
-    (* committed jobs never re-enter the pool: their payloads are final.
-       Fresh jobs commit from the worker the moment they succeed, so a
-       crash later in the grid cannot lose them. *)
-    let fresh =
-      List.filter (fun (name, _) -> Checkpoint.find ck name = None) named
-    in
-    let fresh_report =
-      supervise ?policy ?jobs
-        (List.map
-           (fun (name, f) ->
-             ( name, None,
-               fun ~fuel:_ ->
-                 let payload = f () in
-                 Checkpoint.record ck ~name ~payload;
-                 payload ))
-           fresh)
-    in
-    let by_name =
-      List.map (fun o -> (o.o_name, o)) fresh_report.outcomes
-    in
-    report_of
-      (List.map
-         (fun (name, _) ->
-           match Checkpoint.find ck name with
-           | Some payload when not (List.mem_assoc name by_name) ->
-             (* committed before this run: served from the store *)
-             { o_name = name; o_attempts = 0; o_result = Ok payload }
-           | _ ->
-             (match List.assoc_opt name by_name with
-              | Some o -> o
-              | None ->
-                (* unreachable: every job is either cached or fresh *)
-                { o_name = name; o_attempts = 0; o_result = Error Cancelled }))
-         named)
-
 module Testing = struct
   let attempt_fuel policy ~name ~base k = attempt_fuel policy ~name base k
 end

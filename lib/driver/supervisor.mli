@@ -107,21 +107,9 @@ val map :
     re-running the whole unit. Retries widen the fuel budget (the unit's
     own fuel, else [policy.fuel_timeout], doubles on every attempt). The
     report still carries one outcome per {e job}, in submission order: a
-    fused unit's error and attempt count are replicated to each member. *)
+    fused unit's error and attempt count are copied to each member. *)
 val run_jobs :
   ?policy:policy -> ?jobs:int -> ?fuse:bool -> 'a Driver.job list -> 'a report
-
-(** Supervised map over string-payload jobs with optional
-    checkpoint/resume: a job already committed in [checkpoint] is not run
-    at all — its stored payload is returned with [o_attempts = 0] — and
-    every fresh completion is committed (from the worker, as it finishes)
-    before the grid moves on. *)
-val run_strings :
-  ?policy:policy ->
-  ?jobs:int ->
-  ?checkpoint:Checkpoint.t ->
-  (string * (unit -> string)) list ->
-  string report
 
 (** Test-only window into the backoff arithmetic, so cap and jitter can
     be asserted directly instead of through whole grid runs. *)

@@ -78,9 +78,7 @@ let render spec tables =
     tables;
   Buffer.contents buf
 
-let print_tables (spec, tables) = print_string (render spec tables)
-
-let print_one spec = print_tables (spec, spec.run ())
+let print_one spec = print_string (render spec (spec.run ()))
 
 type failure = {
   f_spec : spec;
@@ -100,7 +98,6 @@ type run_config = {
   rc_max_fuel : int option;
   rc_jitter : float;
   rc_fail_fast : bool;
-  rc_checkpoint : Checkpoint.t option;
   rc_trace : string option;
   rc_metrics : string option;
   rc_shards : int;
@@ -114,7 +111,6 @@ let default_run_config =
     rc_max_fuel = Supervisor.default_policy.Supervisor.max_fuel;
     rc_jitter = Supervisor.default_policy.Supervisor.jitter;
     rc_fail_fast = false;
-    rc_checkpoint = None;
     rc_trace = None;
     rc_metrics = None;
     rc_shards = 1;
@@ -126,14 +122,6 @@ let policy_of_config c =
     max_fuel = c.rc_max_fuel;
     jitter = c.rc_jitter;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
-
-let config_of_policy ?jobs ?checkpoint (p : Supervisor.policy) =
-  { default_run_config with
-    rc_jobs = jobs;
-    rc_fuel = p.Supervisor.fuel_timeout;
-    rc_retries = p.Supervisor.retries;
-    rc_fail_fast = p.Supervisor.on_error = `Abort;
-    rc_checkpoint = checkpoint }
 
 (* Sink plumbing: if the config names a trace sink, the trace is reset
    and enabled for exactly this run and written (disabled again) on the
@@ -201,45 +189,37 @@ let run_strings ?(config = default_run_config) specs =
   with_sinks config @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
-  let supervise jobs =
-    Supervisor.run_strings ~policy:(policy_of_config config)
-      ?jobs:config.rc_jobs ?checkpoint:config.rc_checkpoint jobs
+  let supervise f specs =
+    Supervisor.map ~policy:(policy_of_config config) ?jobs:config.rc_jobs
+      ~name:(fun spec -> spec.id) f specs
   in
+  let render_run spec = render spec (run_spec_traced spec) in
   match config.rc_store with
-  | None ->
-    supervise
-      (List.map
-         (fun spec -> (spec.id, fun () -> render spec (run_spec_traced spec)))
-         specs)
+  | None -> supervise render_run specs
   | Some store ->
     (* The driver consults the store before scheduling a unit: a hit is
-       served without executing anything (reported with [o_attempts = 0],
-       like a checkpoint-cached job), a miss runs and commits its payload
-       as it lands, so a killed run still keeps its finished units. *)
-    let keyed = List.map (fun spec -> (spec, spec_key config spec)) specs in
+       served without executing anything (reported with [o_attempts = 0]),
+       a miss runs and commits its payload as it lands, so a killed run
+       still keeps its finished units. *)
     let served =
-      List.map (fun (spec, key) -> (spec, key, Store.get store key)) keyed
+      List.map (fun spec -> (spec, Store.get store (spec_key config spec))) specs
     in
     let rep =
       supervise
+        (fun spec ->
+          let payload = render_run spec in
+          Store.put store ~key:(spec_key config spec) ~payload;
+          payload)
         (List.filter_map
-           (fun (spec, key, cached) ->
-             match cached with
-             | Some _ -> None
-             | None ->
-               Some
-                 ( spec.id,
-                   fun () ->
-                     let payload = render spec (run_spec_traced spec) in
-                     Store.put store ~key ~payload;
-                     payload ))
+           (fun (spec, cached) ->
+             match cached with Some _ -> None | None -> Some spec)
            served)
     in
     (* stitch hits back in, in submission order *)
     let misses = ref rep.Supervisor.outcomes in
     let outcomes =
       List.map
-        (fun (spec, _, cached) ->
+        (fun (spec, cached) ->
           match cached with
           | Some payload ->
             { Supervisor.o_name = spec.id; o_attempts = 0; o_result = Ok payload }
@@ -257,28 +237,8 @@ let run_strings ?(config = default_run_config) specs =
       failed = rep.Supervisor.failed;
       cancelled = rep.Supervisor.cancelled }
 
-(* --- deprecated wrappers (one release): callers should build a
-   [run_config] and use {!run} / {!run_strings} --- *)
-
-let run_specs ?(policy = Supervisor.default_policy) ?jobs specs =
-  run ~config:(config_of_policy ?jobs policy) specs
-
-let run_all ?policy ?jobs () = run_specs ?policy ?jobs all
-
-let run_specs_strings ?(policy = Supervisor.default_policy) ?jobs ?checkpoint
-    specs =
-  run_strings ~config:(config_of_policy ?jobs ?checkpoint policy) specs
-
 let string_of_failure f =
   Printf.sprintf "experiment %s FAILED after %d attempt%s: %s" f.f_spec.id
     f.f_attempts
     (if f.f_attempts = 1 then "" else "s")
     (Supervisor.string_of_error f.f_error)
-
-(* Printing happens on the calling domain after the parallel runs land in
-   registry order, so the bytes match a serial run exactly; failures, if
-   any, go to stderr after every completed table. *)
-let print_all ?(jobs = 1) () =
-  let rep = run_all ~jobs () in
-  List.iter print_tables rep.results;
-  List.iter (fun f -> prerr_endline (string_of_failure f)) rep.failures

@@ -19,7 +19,7 @@ val print_one : spec -> unit
 
 (** An experiment's printable form: the [== id: title [ref] ==] banner
     followed by each rendered table and a blank line — exactly the bytes
-    {!print_all} emits for it, so checkpointed payloads splice back
+    {!print_one} emits for it, so stored payloads splice back
     byte-identically. *)
 val render : spec -> Table.t list -> string
 
@@ -42,7 +42,7 @@ val string_of_failure : failure -> string
 
 (** Everything a supervised suite run is parameterized by, in one record:
     the CLI, the tests and CI all build the same value instead of
-    threading separate [?policy]/[?jobs]/[?checkpoint] options. *)
+    threading separate [?policy]/[?jobs]/[?store] options. *)
 type run_config = {
   rc_jobs : int option;  (** worker pool size; [None] = recommended count *)
   rc_fuel : int option;  (** per-attempt fuel budget; [None] = unlimited *)
@@ -51,20 +51,19 @@ type run_config = {
       (** cap on retry fuel-doubling (see {!Supervisor.policy}) *)
   rc_jitter : float;  (** retry-backoff jitter fraction; [0.] = exact *)
   rc_fail_fast : bool;  (** abort the suite on the first hard failure *)
-  rc_checkpoint : Checkpoint.t option;  (** crash-safe resume store *)
   rc_trace : string option;  (** write a Chrome trace of the run here *)
   rc_metrics : string option;  (** write a registry snapshot here *)
   rc_shards : int;
       (** shard count for the harness's full value profiles (see
           {!Harness.set_shards}); 1 = serial collection *)
   rc_store : Store.t option;
-      (** profile store for cross-invocation reuse: {!run_strings}
-          serves whole cached experiments without scheduling them, and
-          the harness serves cached value profiles without executing
-          machines (see {!Harness.set_store}) *)
+      (** profile store for cross-invocation reuse and crash-safe
+          resumption: {!run_strings} serves whole cached experiments
+          without scheduling them, and the harness serves cached value
+          profiles without executing machines (see {!Harness.set_store}) *)
 }
 
-(** Serial, one retry, no fuel limit, no checkpoint, no sinks. *)
+(** Serial, one retry, no fuel limit, no store, no sinks. *)
 val default_run_config : run_config
 
 (** The supervisor policy a config induces (retries / fuel / skip-vs-abort). *)
@@ -77,37 +76,13 @@ val policy_of_config : run_config -> Supervisor.policy
     (tracing is enabled for exactly this run). *)
 val run : ?config:run_config -> spec list -> report
 
-(** Supervised run yielding each experiment's {!render}ed bytes, with
-    crash-safe checkpoint/resume when [rc_checkpoint] is set (see
-    {!Checkpoint}): committed experiments are served from the store
-    without rerunning; fresh ones are committed as they finish.
+(** Supervised run yielding each experiment's {!render}ed bytes.
 
-    With [rc_store] set, each experiment is additionally fingerprinted
-    ({!Store.Fingerprint}) and looked up before scheduling: a hit is
-    served with [o_attempts = 0] and zero machine executions, a miss
-    runs and commits its rendered bytes to the store — so a repeated
-    grid is near-instant and byte-identical. *)
+    With [rc_store] set, each experiment is fingerprinted
+    ({!Store.Fingerprint}: its id plus the fuel and shard knobs) and
+    looked up before scheduling: a hit is served with [o_attempts = 0]
+    and zero machine executions, a miss runs and commits its rendered
+    bytes to the store as it finishes — so a repeated grid is
+    near-instant and byte-identical, and a killed grid resumes from
+    whatever it committed. *)
 val run_strings : ?config:run_config -> spec list -> string Supervisor.report
-
-(** @deprecated Build a {!run_config} and call {!run}. *)
-val run_specs : ?policy:Supervisor.policy -> ?jobs:int -> spec list -> report
-
-(** [run_specs] over the whole registry. Safe at any [jobs]: the harness
-    memo caches are domain-safe and each run owns its machines.
-    @deprecated Build a {!run_config} and call {!run}. *)
-val run_all : ?policy:Supervisor.policy -> ?jobs:int -> unit -> report
-
-(** @deprecated Build a {!run_config} and call {!run_strings}. *)
-val run_specs_strings :
-  ?policy:Supervisor.policy ->
-  ?jobs:int ->
-  ?checkpoint:Checkpoint.t ->
-  spec list ->
-  string Supervisor.report
-
-(** Run the whole suite in order, printing everything. Computation is
-    parallel across [jobs] domains (default [1], i.e. serial); printing
-    is always serial, in registry order, so the output is byte-identical
-    for every [jobs] value. Failures (none, on a healthy tree) are
-    reported on stderr after the completed tables. *)
-val print_all : ?jobs:int -> unit -> unit

@@ -64,18 +64,21 @@ let stored_profile (w : Workload.t) input ~shards compute =
        Store.put_profile s ~key p;
        p)
 
-(* Sharded full profiles are memoized separately, keyed by the shard
-   count, so flipping --shards mid-process never aliases a serial result
-   and vice versa. The plain machine state and the procedure profile stay
-   with the fused single execution either way — sharding only accelerates
-   the value profile, the one consumer whose result merges. *)
-let sharded_cache : (string * Workload.input * int, Profile.t) Memo_cache.t =
+(* Full value profiles are memoized by shard count, so flipping --shards
+   mid-process never aliases a serial result and vice versa, and a
+   store-served profile is memoized even though no machine ran for it.
+   Sharding only accelerates the value profile, the one consumer whose
+   result merges: the serial profile, the plain machine state and the
+   procedure profile all come from the fused single execution. *)
+let profiles : (string * Workload.input * int, Profile.t) Memo_cache.t =
   Memo_cache.create ~size:32 ()
 
 let sharded_profile ?jobs (w : Workload.t) input ~shards =
   let shards = max 1 shards in
-  Memo_cache.find_or_compute sharded_cache (w.wname, input, shards) (fun () ->
-      stored_profile w input ~shards (fun () -> Shard.profile ?jobs ~shards w input))
+  Memo_cache.find_or_compute profiles (w.wname, input, shards) (fun () ->
+      stored_profile w input ~shards (fun () ->
+          if shards = 1 then (entry w input).e_profile
+          else Shard.profile ?jobs ~shards w input))
 
 let shard_count = Atomic.make 1
 
@@ -83,17 +86,9 @@ let set_shards k = Atomic.set shard_count (max 1 k)
 
 let shards () = Atomic.get shard_count
 
-(* Store-served full profiles get their own memo table: the fused [cache]
-   entry only exists once a machine has actually run. *)
-let stored_full_cache : (string * Workload.input, Profile.t) Memo_cache.t =
-  Memo_cache.create ~size:32 ()
-
 let full_profile w input =
   match (shards (), store ()) with
   | 1, None -> (entry w input).e_profile
-  | 1, Some _ ->
-    Memo_cache.find_or_compute stored_full_cache (w.wname, input) (fun () ->
-        stored_profile w input ~shards:1 (fun () -> (entry w input).e_profile))
   | k, _ -> sharded_profile w input ~shards:k
 
 let plain_run w input = (entry w input).e_machine
@@ -106,8 +101,7 @@ let machine_runs () = Memo_cache.computations cache
 
 let clear_cache () =
   Memo_cache.clear cache;
-  Memo_cache.clear sharded_cache;
-  Memo_cache.clear stored_full_cache
+  Memo_cache.clear profiles
 
 let load_points p = Profile.points_by_category p Isa.Load
 

@@ -9,20 +9,19 @@
 (** All workloads, table order. *)
 val workloads : Workload.t list
 
-(** Memoized full value profile (selection [`All]) of a workload/input.
-    With {!set_shards} above 1, collected shardedly via {!Shard.profile}
-    (memoized per shard count); otherwise from the fused single
-    execution. *)
+(** Memoized full value profile (selection [`All]) of a workload/input:
+    {!sharded_profile} at the {!set_shards} count. *)
 val full_profile : Workload.t -> Workload.input -> Profile.t
 
-(** Memoized sharded value profile, keyed by [(workload, input, shards)]
-    — independent of the {!set_shards} toggle. *)
+(** Memoized full value profile, keyed by [(workload, input, shards)] —
+    independent of the {!set_shards} toggle. One shard is the fused
+    single execution; more are collected via {!Shard.profile}. *)
 val sharded_profile :
   ?jobs:int -> Workload.t -> Workload.input -> shards:int -> Profile.t
 
 (** Shard count {!full_profile} uses (default 1 = serial). Clamped to
-    [>= 1]. The toggle changes which memo table serves the profile, never
-    the contents of either. *)
+    [>= 1]. The toggle changes which memo entry serves the profile, never
+    the contents of any. *)
 val set_shards : int -> unit
 
 val shards : unit -> int

@@ -1,15 +1,16 @@
 (** Write-ahead journal for multi-file store mutations.
 
-    The directory store's mutations touch several files — a payload per
-    replica tree, then the manifest — and each individual write is atomic
+    The directory store's mutations touch several files — a put writes
+    its payload file, then the manifest; a gc deletes payload files, then
+    rewrites the manifest — and each individual write is atomic
     (temp-file + rename), but the {e sequence} is not: a crash between
-    files leaves the trees disagreeing. The journal closes that window
+    files leaves the manifest and the payload files disagreeing. The journal closes that window
     with intent-first logging: before touching any file the store appends
     an {e intent} record describing the whole mutation, and after the
     last file is in place it appends a {e commit} record. On open,
     {!pending} returns every intent without a matching commit, and the
-    store rolls each one forward (when the mutation's bytes survived
-    somewhere) or back (when they did not) — so an acknowledged write is
+    store rolls each one forward (when the mutation's bytes survived) or
+    back (when they did not) — so an acknowledged write is
     never lost and an unacknowledged one is never left half-applied.
 
     {b Format.} The journal is a single append-only file ([dir/journal])
@@ -36,8 +37,8 @@
 type op =
   | Put of { key : string; gen : int; bytes : int; crc : int }
       (** Commit [bytes] bytes with checksum [crc] under [key] at
-          generation [gen], across every replica tree. *)
-  | Gc of string list  (** Remove these keys from every replica tree. *)
+          generation [gen]. *)
+  | Gc of string list  (** Remove these keys and their payload files. *)
   | Generation of int  (** Bump the persisted generation counter. *)
 
 (** [dir/journal]. *)

@@ -6,8 +6,6 @@ let m_bytes_written = Obs.Metrics.counter "store.bytes_written"
 let m_decode_failures = Obs.Metrics.counter "store.decode_failures"
 let m_orphans_swept = Obs.Metrics.counter "store.orphans_swept"
 let m_quarantined = Obs.Metrics.counter "store.quarantined"
-let m_read_repairs = Obs.Metrics.counter "store.read_repairs"
-let m_repaired = Obs.Metrics.counter "store.repaired"
 let m_recovered = Obs.Metrics.counter "journal.recovered"
 let m_rolled_back = Obs.Metrics.counter "journal.rolled_back"
 
@@ -71,16 +69,9 @@ type backend = Memory | Dir of string
 (* [e_crc] is the CRC-32 of [e_payload], recorded when the bytes were
    installed: manifest rows are rendered from it, so no commit re-hashes a
    payload. Only [set_entry] builds an entry, and it sets both. *)
-type entry = {
-  e_payload : string;
-  e_crc : int;
-  e_gen : int;
-  (* some on-disk copy of this entry is missing or corrupt; the next
-     [get] heals it (read-repair), as do [repair] and recovery *)
-  mutable e_degraded : bool;
-}
+type entry = { e_payload : string; e_crc : int; e_gen : int }
 
-(* A manifest row whose payload survives in no copy tree: the key stays
+(* A manifest row whose payload file fails its checks: the key stays
    out of the table (lookups miss, callers recompute) but the row is
    re-emitted on persist so the damage stays visible across opens until
    a new put overwrites it or gc retires it. *)
@@ -92,7 +83,6 @@ type t = {
   s_table : (string, entry) Hashtbl.t;
   mutable s_order : string list; (* first-commit order, reversed *)
   mutable s_gen : int;
-  mutable s_copies : int; (* copy trees including the primary; >= 1 *)
   mutable s_lost : lost list;
 }
 
@@ -102,7 +92,6 @@ type stats = {
   st_entries : int;
   st_bytes : int;
   st_generation : int;
-  st_replicas : int;
   st_lost : int;
 }
 
@@ -111,7 +100,6 @@ type check = {
   c_copies_ok : int;
   c_copies_bad : int;
   c_quarantined : int;
-  c_repaired : int;
   c_lost : int;
 }
 
@@ -193,15 +181,7 @@ let payload_file name =
 let store_dir t =
   match t.s_backend with Memory -> invalid_arg "Store: no directory" | Dir d -> d
 
-(* Copy tree [0] is the store directory itself; trees [1..] are sibling
-   subdirectories [replica1..replicaN] mirroring its payload files. *)
-let copy_dir dir i =
-  if i = 0 then dir else Filename.concat dir (Printf.sprintf "replica%d" i)
-
-let payload_path dir i key = Filename.concat (copy_dir dir i) (payload_file key)
-
-let ensure_dir d =
-  if not (Sys.file_exists d) then (try Sys.mkdir d 0o755 with Sys_error _ -> ())
+let payload_path dir key = Filename.concat dir (payload_file key)
 
 let manifest_path t = Filename.concat (store_dir t) "manifest"
 
@@ -216,7 +196,6 @@ let entry_line key (e : entry) =
   done_line key ~gen:e.e_gen ~bytes:(String.length e.e_payload) ~crc:e.e_crc
 
 let gen_line g = checked_line (Printf.sprintf "gen %d" g)
-let replicas_line m = checked_line (Printf.sprintf "replicas %d" m)
 
 let manifest_text t =
   let buf = Buffer.create 4096 in
@@ -224,10 +203,6 @@ let manifest_text t =
   Buffer.add_char buf '\n';
   Buffer.add_string buf (gen_line t.s_gen);
   Buffer.add_char buf '\n';
-  if t.s_copies > 1 then begin
-    Buffer.add_string buf (replicas_line (t.s_copies - 1));
-    Buffer.add_char buf '\n'
-  end;
   List.iter
     (fun key ->
       Buffer.add_string buf (entry_line key (Hashtbl.find t.s_table key));
@@ -247,37 +222,24 @@ let persist t =
   | Memory -> ()
   | Dir dir -> write_atomic ~dir (manifest_path t) (manifest_text t)
 
-(* Writes [payload] into every copy tree whose current bytes differ —
-   the one healing primitive behind read-repair, [repair], replica
-   growth, and journal roll-forward. Callers hold [s_mu]. *)
-let heal_copies dir key payload copies =
-  let healed = ref 0 in
-  for i = 0 to copies - 1 do
-    let p = payload_path dir i key in
-    let ok =
-      match read_file p with
-      | exception Sys_error _ -> false
-      | bytes -> bytes = payload
-    in
-    if not ok then begin
-      let d = copy_dir dir i in
-      ensure_dir d;
-      write_atomic ~dir:d p payload;
-      incr healed
-    end
-  done;
-  !healed
-
 let drop_lost t key = t.s_lost <- List.filter (fun l -> l.l_key <> key) t.s_lost
 
 (* Installs [payload] under [key]. [crc] must be its CRC-32, taken from
    bytes just written or just verified against it. A new key joins the
    commit order; a lost row for it is retired. Callers hold [s_mu]. *)
-let set_entry t key ~payload ~crc ~gen ~degraded =
+let set_entry t key ~payload ~crc ~gen =
   if not (Hashtbl.mem t.s_table key) then t.s_order <- key :: t.s_order;
-  Hashtbl.replace t.s_table key
-    { e_payload = payload; e_crc = crc; e_gen = gen; e_degraded = degraded };
+  Hashtbl.replace t.s_table key { e_payload = payload; e_crc = crc; e_gen = gen };
   drop_lost t key
+
+(* The bytes of [key]'s payload file, if they have the recorded length
+   and CRC-32. *)
+let read_intact dir key ~bytes ~crc =
+  match read_file (payload_path dir key) with
+  | exception Sys_error _ -> None
+  | payload when String.length payload = bytes && Crc32.string payload = crc ->
+    Some payload
+  | _ -> None
 
 (* --- loading (salvage-shaped: stop at the first damaged line) --- *)
 
@@ -304,10 +266,6 @@ let parse_entry t line =
     (match int_of_string_opt g with
      | Some g when g >= 0 -> t.s_gen <- max t.s_gen g
      | _ -> raise Torn)
-  | [ "replicas"; m ] ->
-    (match int_of_string_opt m with
-     | Some m when m >= 0 -> t.s_copies <- max t.s_copies (m + 1)
-     | _ -> raise Torn)
   | [ "done"; key; gen; bytes; payload_crc ] ->
     let key = unescape key in
     let gen =
@@ -327,26 +285,13 @@ let parse_entry t line =
     in
     (match (gen, bytes, pcrc) with
      | Some gen, Some bytes, Some pcrc ->
-       (* the manifest line is sound; the payload must still agree with
-          it in some copy tree, primary first — serving a replica's bytes
-          flags the entry degraded so the next [get] read-repairs *)
+       (* the manifest line is sound; the payload file must still agree
+          with it *)
        if not (Hashtbl.mem t.s_table key)
           && not (List.exists (fun l -> l.l_key = key) t.s_lost)
        then begin
-         let dir = store_dir t in
-         let rec scan i =
-           if i >= t.s_copies then None
-           else
-             match read_file (payload_path dir i key) with
-             | exception Sys_error _ -> scan (i + 1)
-             | payload
-               when String.length payload = bytes && Crc32.string payload = pcrc
-               -> Some (i, payload)
-             | _ -> scan (i + 1)
-         in
-         match scan 0 with
-         | Some (i, payload) ->
-           set_entry t key ~payload ~crc:pcrc ~gen ~degraded:(i > 0)
+         match read_intact (store_dir t) key ~bytes ~crc:pcrc with
+         | Some payload -> set_entry t key ~payload ~crc:pcrc ~gen
          | None ->
            t.s_lost <-
              { l_key = key; l_gen = gen; l_bytes = bytes; l_crc = pcrc }
@@ -377,39 +322,25 @@ let load t =
 (* Atomic commits that died between temp-file creation and [rename] leave
    a [*.tmp] behind; swept on open so they cannot accumulate forever. *)
 let sweep_orphans dir =
-  let sweep_tree d =
-    match Sys.readdir d with
-    | exception Sys_error _ -> ()
-    | names ->
-      Array.iter
-        (fun n ->
-          if Filename.check_suffix n ".tmp" then begin
-            (try Sys.remove (Filename.concat d n) with Sys_error _ -> ());
-            Obs.Metrics.incr m_orphans_swept
-          end)
-        names
-  in
-  sweep_tree dir;
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
   | names ->
     Array.iter
       (fun n ->
-        if String.length n > 7 && String.sub n 0 7 = "replica" then begin
-          let p = Filename.concat dir n in
-          if (try Sys.is_directory p with Sys_error _ -> false) then
-            sweep_tree p
+        if Filename.check_suffix n ".tmp" then begin
+          (try Sys.remove (Filename.concat dir n) with Sys_error _ -> ());
+          Obs.Metrics.incr m_orphans_swept
         end)
       names
 
 (* --- crash recovery --- *)
 
 (* Replays the write-ahead journal left by a crashed invocation. Each
-   pending intent rolls {e forward} when its mutation's bytes survived in
-   some copy tree (heal every copy, reinstate the entry) or {e back} when
-   they did not (the mutation never became durable; the loaded state is
-   already the pre-mutation one). Every step is idempotent, so dying
-   mid-recovery just replays on the next open. *)
+   pending intent rolls {e forward} when its mutation's bytes survived
+   (reinstate the entry) or {e back} when they did not (the mutation
+   never became durable; the loaded state is already the pre-mutation
+   one). Every step is idempotent, so dying mid-recovery just replays on
+   the next open. *)
 let recover t =
   match t.s_backend with
   | Memory -> ()
@@ -420,32 +351,21 @@ let recover t =
         (fun op ->
           match op with
           | Journal.Put { key; gen; bytes; crc } ->
-            let rec scan i =
-              if i >= t.s_copies then None
-              else
-                match read_file (payload_path dir i key) with
-                | exception Sys_error _ -> scan (i + 1)
-                | b when String.length b = bytes && Crc32.string b = crc ->
-                  Some b
-                | _ -> scan (i + 1)
-            in
-            (match scan 0 with
+            (match read_intact dir key ~bytes ~crc with
              | Some payload ->
-               ignore (heal_copies dir key payload t.s_copies);
-               set_entry t key ~payload ~crc ~gen ~degraded:false;
+               set_entry t key ~payload ~crc ~gen;
                Obs.Metrics.incr m_recovered
              | None ->
-               (* no copy holds the intended bytes: the put died before
-                  anything durable existed, so there is nothing to undo *)
+               (* the file does not hold the intended bytes: the put died
+                  before anything durable existed, so there is nothing to
+                  undo *)
                Obs.Metrics.incr m_rolled_back)
           | Journal.Gc keys ->
             List.iter
               (fun k ->
                 Hashtbl.remove t.s_table k;
                 drop_lost t k;
-                for i = 0 to t.s_copies - 1 do
-                  try Sys.remove (payload_path dir i k) with Sys_error _ -> ()
-                done)
+                try Sys.remove (payload_path dir k) with Sys_error _ -> ())
               keys;
             t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
             Obs.Metrics.incr m_recovered
@@ -461,9 +381,9 @@ let recover t =
 
 let create_mem () =
   { s_backend = Memory; s_mu = Mutex.create (); s_table = Hashtbl.create 64;
-    s_order = []; s_gen = 0; s_copies = 1; s_lost = [] }
+    s_order = []; s_gen = 0; s_lost = [] }
 
-let open_dir ?(reset = false) ?replicas dir =
+let open_dir ?(reset = false) dir =
   if Sys.file_exists dir then begin
     if not (Sys.is_directory dir) then
       raise (Sys_error (dir ^ ": not a directory"))
@@ -471,33 +391,16 @@ let open_dir ?(reset = false) ?replicas dir =
   else Sys.mkdir dir 0o755;
   let t =
     { s_backend = Dir dir; s_mu = Mutex.create (); s_table = Hashtbl.create 64;
-      s_order = []; s_gen = 0; s_copies = 1; s_lost = [] }
+      s_order = []; s_gen = 0; s_lost = [] }
   in
   if reset then begin
-    (match replicas with
-     | Some r when r > 0 -> t.s_copies <- r + 1
-     | _ -> ());
     Journal.reset ~dir;
     persist t
   end
   else begin
     sweep_orphans dir;
     load t;
-    recover t;
-    (* growing the mirror count mirrors every live entry into the new
-       trees now, so a fresh replica is immediately a full copy;
-       shrinking is never implicit — extra trees are simply kept *)
-    match replicas with
-    | Some r when r + 1 > t.s_copies ->
-      t.s_copies <- r + 1;
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt t.s_table key with
-          | None -> ()
-          | Some e -> ignore (heal_copies dir key e.e_payload t.s_copies))
-        t.s_order;
-      persist t
-    | _ -> ()
+    recover t
   end;
   t
 
@@ -534,21 +437,7 @@ let find t name =
 
 let get t name =
   Obs.Trace.with_span ~cat:"store" "store.get" @@ fun () ->
-  Mutex.lock t.s_mu;
-  let r = Hashtbl.find_opt t.s_table name in
-  (* read-repair: a hit on an entry loaded from a replica (or flagged by
-     scrub) rewrites every stale copy with the known-good bytes *)
-  (match (r, t.s_backend) with
-   | Some e, Dir dir when e.e_degraded ->
-     (try
-        ignore (heal_copies dir name e.e_payload t.s_copies);
-        e.e_degraded <- false;
-        Obs.Metrics.incr m_read_repairs
-      with Sys_error _ -> ())
-   | _ -> ());
-  let payload = Option.map (fun e -> e.e_payload) r in
-  Mutex.unlock t.s_mu;
-  match payload with
+  match find t name with
   | Some payload ->
     Obs.Metrics.incr m_hits;
     Some payload
@@ -572,21 +461,17 @@ let put t ~key ~payload =
       (match t.s_backend with
        | Memory -> ()
        | Dir dir ->
-         (* the disk guard charges every copy before writing any, so a
-            governed run stops committing the moment the budget is blown *)
-         Budget.charge_disk ~bytes:(String.length payload * t.s_copies);
+         (* the disk guard charges before writing, so a governed run stops
+            committing the moment the budget is blown *)
+         Budget.charge_disk ~bytes:(String.length payload);
          (* intent first: a crash anywhere past this line is replayed or
             rolled back on the next open from the journal record *)
          Journal.append_intent ~dir
            (Journal.Put
               { key; gen = t.s_gen; bytes = String.length payload; crc });
-         for i = 0 to t.s_copies - 1 do
-           Fault.point ~site:"store.payload.write";
-           let d = copy_dir dir i in
-           ensure_dir d;
-           write_atomic ~dir:d (payload_path dir i key) payload
-         done);
-      set_entry t key ~payload ~crc ~gen:t.s_gen ~degraded:false;
+         Fault.point ~site:"store.payload.write";
+         write_atomic ~dir (payload_path dir key) payload);
+      set_entry t key ~payload ~crc ~gen:t.s_gen;
       persist t;
       match t.s_backend with
       | Memory -> ()
@@ -613,8 +498,7 @@ let stats t =
   in
   let r =
     { st_entries = Hashtbl.length t.s_table; st_bytes = bytes;
-      st_generation = t.s_gen; st_replicas = t.s_copies - 1;
-      st_lost = List.length t.s_lost }
+      st_generation = t.s_gen; st_lost = List.length t.s_lost }
   in
   Mutex.unlock t.s_mu;
   r
@@ -631,7 +515,7 @@ let gc t ~keep =
           t.s_table []
       in
       (* lost rows age out with everything else: gc is how damage that
-         was never repaired finally leaves the manifest *)
+         was never overwritten finally leaves the manifest *)
       let dead_lost =
         List.filter_map
           (fun l -> if l.l_gen <= cutoff then Some l.l_key else None)
@@ -649,9 +533,7 @@ let gc t ~keep =
             match t.s_backend with
             | Memory -> ()
             | Dir dir ->
-              for i = 0 to t.s_copies - 1 do
-                try Sys.remove (payload_path dir i k) with Sys_error _ -> ()
-              done)
+              (try Sys.remove (payload_path dir k) with Sys_error _ -> ()))
           all_dead;
         t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
         persist t;
@@ -661,7 +543,7 @@ let gc t ~keep =
       end;
       List.length all_dead)
 
-(* --- integrity: verify / scrub / repair --- *)
+(* --- integrity: verify / scrub --- *)
 
 (* A v3-framed payload gets its sections walked (every section carries
    its own CRC-32); anything else is opaque bytes whose integrity is the
@@ -682,80 +564,48 @@ let structurally_sound payload =
     with Codec.Error _ -> false
   end
 
-(* The one survey loop under verify/scrub/repair. [mode] decides what to
-   do with a bad copy: nothing (verify), rename it aside (scrub), or
-   rewrite it from the in-memory bytes (repair) — which are the
-   healthiest copy by construction: load already chose the first tree
-   whose bytes matched the manifest checksum. Callers hold [s_mu]. *)
+(* The one survey loop under verify and scrub: [`Scrub] also renames
+   each bad payload file aside. Callers hold [s_mu]. *)
 let survey t mode =
   match t.s_backend with
   | Memory ->
     { c_entries = Hashtbl.length t.s_table;
       c_copies_ok = Hashtbl.length t.s_table; c_copies_bad = 0;
-      c_quarantined = 0; c_repaired = 0; c_lost = 0 }
+      c_quarantined = 0; c_lost = 0 }
   | Dir dir ->
-    let ok = ref 0 and bad = ref 0 and quarantined = ref 0 and fixed = ref 0 in
-    let quarantine p =
-      if (try Sys.file_exists p with Sys_error _ -> false) then
-        try
-          Sys.rename p (p ^ ".corrupt");
-          incr quarantined;
-          Obs.Metrics.incr m_quarantined
-        with Sys_error _ -> ()
+    let ok = ref 0 and bad = ref 0 and quarantined = ref 0 in
+    let quarantine key =
+      if mode = `Scrub then
+        let p = payload_path dir key in
+        if (try Sys.file_exists p with Sys_error _ -> false) then
+          try
+            Sys.rename p (p ^ ".corrupt");
+            incr quarantined;
+            Obs.Metrics.incr m_quarantined
+          with Sys_error _ -> ()
     in
     List.iter
       (fun key ->
         match Hashtbl.find_opt t.s_table key with
         | None -> ()
         | Some e ->
-          let sound = structurally_sound e.e_payload in
-          let entry_healed = ref true in
-          for i = 0 to t.s_copies - 1 do
-            let p = payload_path dir i key in
-            let copy_ok =
-              sound
-              && (match read_file p with
-                  | exception Sys_error _ -> false
-                  | bytes -> bytes = e.e_payload)
-            in
-            if copy_ok then incr ok
-            else begin
-              incr bad;
-              match mode with
-              | `Verify -> entry_healed := false
-              | `Scrub ->
-                quarantine p;
-                entry_healed := false
-              | `Repair ->
-                if sound then begin
-                  let d = copy_dir dir i in
-                  ensure_dir d;
-                  write_atomic ~dir:d p e.e_payload;
-                  incr fixed;
-                  Obs.Metrics.incr m_repaired
-                end
-                else begin
-                  quarantine p;
-                  entry_healed := false
-                end
-            end
-          done;
-          (* scrub moved the bad copies aside and repair rewrote them;
-             either way the degraded flag tracks what is on disk now *)
-          if !entry_healed && mode = `Repair then e.e_degraded <- false
-          else if not !entry_healed then e.e_degraded <- true)
+          let copy_ok =
+            structurally_sound e.e_payload
+            && (match read_file (payload_path dir key) with
+                | exception Sys_error _ -> false
+                | bytes -> bytes = e.e_payload)
+          in
+          if copy_ok then incr ok
+          else begin
+            incr bad;
+            quarantine key
+          end)
       (List.rev t.s_order);
-    (* lost rows: no tree holds valid bytes, so there is nothing to
-       restore from — scrub still moves the wreckage aside *)
-    List.iter
-      (fun l ->
-        if mode = `Scrub || mode = `Repair then
-          for i = 0 to t.s_copies - 1 do
-            quarantine (payload_path dir i l.l_key)
-          done)
-      t.s_lost;
+    (* lost rows have no valid bytes anywhere; scrub still moves the
+       wreckage aside *)
+    List.iter (fun l -> quarantine l.l_key) t.s_lost;
     { c_entries = Hashtbl.length t.s_table; c_copies_ok = !ok;
-      c_copies_bad = !bad; c_quarantined = !quarantined; c_repaired = !fixed;
+      c_copies_bad = !bad; c_quarantined = !quarantined;
       c_lost = List.length t.s_lost }
 
 let with_survey t name mode =
@@ -765,15 +615,14 @@ let with_survey t name mode =
 
 let verify t = with_survey t "store.verify" `Verify
 let scrub t = with_survey t "store.scrub" `Scrub
-let repair t = with_survey t "store.repair" `Repair
 
 (* --- profile entries --- *)
 
 let put_profile t ~key p = put t ~key ~payload:(Profile_io.to_binary p)
 
 (* Drops [key] from the live table (the caller will recompute) and, on
-   disk, quarantines every copy of its payload so the poisoned bytes are
-   never re-read — but never deleted. Holds [s_mu]. *)
+   disk, quarantines its payload so the poisoned bytes are never re-read
+   — but never deleted. Holds [s_mu]. *)
 let quarantine_entry t key =
   Mutex.lock t.s_mu;
   Fun.protect
@@ -784,51 +633,13 @@ let quarantine_entry t key =
       match t.s_backend with
       | Memory -> ()
       | Dir dir ->
-        for i = 0 to t.s_copies - 1 do
-          let p = payload_path dir i key in
-          if (try Sys.file_exists p with Sys_error _ -> false) then
-            try
-              Sys.rename p (p ^ ".corrupt");
-              Obs.Metrics.incr m_quarantined
-            with Sys_error _ -> ()
-        done;
+        let p = payload_path dir key in
+        (if (try Sys.file_exists p with Sys_error _ -> false) then
+           try
+             Sys.rename p (p ^ ".corrupt");
+             Obs.Metrics.incr m_quarantined
+           with Sys_error _ -> ());
         persist t)
-
-(* When the in-memory bytes fail decode, some mirror may still hold an
-   older-but-decodable copy (post-load bit-rot healed by a put that died
-   half-way never reaches here; this is the defense against a payload
-   that passed its CRC yet does not parse). *)
-let recover_from_mirror t ~program ~key =
-  match t.s_backend with
-  | Memory -> None
-  | Dir dir ->
-    Mutex.lock t.s_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.s_mu)
-      (fun () ->
-        match Hashtbl.find_opt t.s_table key with
-        | None -> None
-        | Some e ->
-          let rec scan i =
-            if i >= t.s_copies then None
-            else
-              match read_file (payload_path dir i key) with
-              | exception Sys_error _ -> scan (i + 1)
-              | bytes when bytes = e.e_payload -> scan (i + 1)
-              | bytes ->
-                (match Profile_io.of_string ~program bytes with
-                 | p -> Some (bytes, p)
-                 | exception Failure _ -> scan (i + 1))
-          in
-          (match scan 0 with
-           | None -> None
-           | Some (bytes, p) ->
-             set_entry t key ~payload:bytes ~crc:(Crc32.string bytes)
-               ~gen:e.e_gen ~degraded:false;
-             ignore (heal_copies dir key bytes t.s_copies);
-             persist t;
-             Obs.Metrics.incr m_read_repairs;
-             Some p))
 
 let get_profile t ~program ~key =
   match get t key with
@@ -837,11 +648,8 @@ let get_profile t ~program ~key =
     (match Profile_io.of_string ~program payload with
      | p -> Some p
      | exception Failure _ ->
+       (* quarantine the poisoned file and report a miss, so the caller
+          recomputes and the next put overwrites *)
        Obs.Metrics.incr m_decode_failures;
-       (match recover_from_mirror t ~program ~key with
-        | Some p -> Some p
-        | None ->
-          (* no copy decodes: quarantine the poisoned files and report a
-             miss, so the caller recomputes and the next put overwrites *)
-          quarantine_entry t key;
-          None))
+       quarantine_entry t key;
+       None)

@@ -8,9 +8,9 @@
     (["pool.worker"]), supervised job attempts (["supervisor.job"]),
     checkpoint loading (["checkpoint.load"]), shard merging
     (["shard.merge"]), pool cancellation (["pool.cancel"]), store
-    commits (["store.commit"], ["store.payload.write"],
-    ["checkpoint.commit"]) and write-ahead-journal appends
-    (["journal.append"], a {!cut} site for torn appends) — and lets
+    commits (["store.commit"], ["store.payload.write"]) and
+    write-ahead-journal appends (["journal.append"], a {!cut} site for
+    torn appends) — and lets
     a test (or the [VPROF_FAULT] environment variable, for CLI smoke runs
     and the chaos harness) arm any number of them concurrently.
 
@@ -41,8 +41,8 @@ type action =
   | Kill
       (** {!point} SIGKILLs the process — a real kill -9, no handler,
           finalizer or [at_exit] hook runs. The crash-point survival
-          harness arms this on ["store.commit"], ["journal.append"] and
-          ["checkpoint.commit"] to prove recovery invariants against
+          harness arms this on ["store.commit"], ["store.payload.write"]
+          and ["journal.append"] to prove recovery invariants against
           genuine mid-mutation death. Never arm it in-process in a test
           runner: the runner dies too — fire it only in subprocesses. *)
 

@@ -23,6 +23,20 @@ let run_cli ?(env = "") args =
       close_in ic;
       (code, text))
 
+(* Like [run_cli], but returns stdout alone (stderr is discarded), for
+   byte-identity checks that the store's stderr accounting would spoil. *)
+let run_stdout args =
+  let out = Filename.temp_file "vprof_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote vprof) args
+             (Filename.quote out))
+      in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
 let check_ok name args expectations =
   let code, out = run_cli args in
   Alcotest.(check int) (name ^ ": exit code") 0 code;
@@ -124,13 +138,13 @@ let rec rm_rf path =
 
 let test_checkpoint_resume_byte_identical () =
   (* the acceptance scenario end-to-end through the binary: a run killed
-     by an injected fault, resumed from its checkpoint, must print exactly
-     what a fault-free run prints *)
+     by an injected fault, rerun against its checkpoint, must print
+     exactly what a fault-free run prints *)
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let plain_code, plain = run_cli "experiments e01" in
+      let plain_code, plain = run_stdout "experiments e01" in
       Alcotest.(check int) "fault-free run" 0 plain_code;
       let crash_code, crash_out =
         run_cli ~env:"VPROF_FAULT=supervisor.job@1"
@@ -140,11 +154,9 @@ let test_checkpoint_resume_byte_identical () =
       Alcotest.(check int) "injected crash exits 1" 1 crash_code;
       Alcotest.(check bool) "reports the injected fault" true
         (Astring_contains.contains crash_out "injected fault");
-      Alcotest.(check bool) "failure report written" true
-        (Sys.file_exists (Filename.concat dir "failures.txt"));
       let resume_code, resumed =
-        run_cli
-          (Printf.sprintf "experiments e01 --checkpoint %s --resume"
+        run_stdout
+          (Printf.sprintf "experiments e01 --checkpoint %s"
              (Filename.quote dir))
       in
       Alcotest.(check int) "resume succeeds" 0 resume_code;
@@ -156,20 +168,46 @@ let test_checkpoint_completes_and_resume_skips () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let code, first =
-        run_cli
-          (Printf.sprintf "experiments e01 --checkpoint %s"
-             (Filename.quote dir))
+      let args =
+        Printf.sprintf "experiments e01 --checkpoint %s" (Filename.quote dir)
       in
+      let code, first = run_stdout args in
       Alcotest.(check int) "checkpointed run" 0 code;
-      let code, second =
-        run_cli
-          (Printf.sprintf "experiments e01 --checkpoint %s --resume"
+      let code, second = run_stdout args in
+      Alcotest.(check int) "rerun of a complete run" 0 code;
+      Alcotest.(check string) "served from the store, same bytes" first
+        second;
+      let _, combined = run_cli args in
+      Alcotest.(check bool) "nothing recomputed" true
+        (Astring_contains.contains combined
+           "1 of 1 experiments served from cache"))
+
+(* Checkpointed work is keyed by its fingerprint, shard count included:
+   a checkpoint filled by a sharded run must not be served to a serial
+   one, whose tables differ. *)
+let test_sharded_checkpoint_not_served_stale () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let code, plain = run_stdout "experiments e04" in
+      Alcotest.(check int) "plain run" 0 code;
+      let code, sharded =
+        run_stdout
+          (Printf.sprintf "experiments e04 --checkpoint %s --shards 2"
              (Filename.quote dir))
       in
-      Alcotest.(check int) "resume of a complete run" 0 code;
-      Alcotest.(check string) "served from the store, same bytes" first
-        second)
+      Alcotest.(check int) "sharded checkpointed run" 0 code;
+      Alcotest.(check bool) "sharded tables differ from serial ones" false
+        (String.equal plain sharded);
+      let code, rerun =
+        run_stdout
+          (Printf.sprintf "experiments e04 --checkpoint %s"
+             (Filename.quote dir))
+      in
+      Alcotest.(check int) "serial rerun" 0 code;
+      Alcotest.(check string) "serial rerun prints the serial tables" plain
+        rerun)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -438,9 +476,9 @@ let test_multi_site_fault_spec_malformed_entry () =
 (* ---- store durability through the binary ---------------------------
 
    The crash-consistency contract end-to-end: verify exits 4 on damage,
-   repair restores byte-identical copies, scrub quarantines rather than
-   deletes, and a kill -9 at any commit site never loses an acknowledged
-   profile. *)
+   the next run recomputes the damaged entry byte-identically, scrub
+   quarantines rather than deletes, and a kill -9 at any commit site
+   never loses an acknowledged profile. *)
 
 let write_file path text =
   let oc = open_out_bin path in
@@ -461,64 +499,50 @@ let flip_byte path =
     (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 0xFF));
   write_file path (Bytes.to_string b)
 
-let test_store_verify_repair_scrub_cycle () =
+let test_store_verify_scrub_recompute_cycle () =
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let code, _ =
-        run_cli
-          (Printf.sprintf "profile -w li -t 3 --store %s --replicas 1"
-             (Filename.quote dir))
+      let profile =
+        Printf.sprintf "profile -w li -t 3 --store %s" (Filename.quote dir)
       in
-      Alcotest.(check int) "seed with one replica" 0 code;
-      let primary = payload_file dir in
-      let pristine = read_file primary in
-      let code, out =
+      let verify () =
         run_cli (Printf.sprintf "store verify --store %s" (Filename.quote dir))
       in
+      let code, first = run_stdout profile in
+      Alcotest.(check int) "seed the store" 0 code;
+      let payload = payload_file dir in
+      let pristine = read_file payload in
+      let code, out = verify () in
       Alcotest.(check int) "clean store verifies 0" 0 code;
       Alcotest.(check bool) "reports the copies" true
         (Astring_contains.contains out "copies ok");
-      (* one flipped byte in the primary *)
-      flip_byte primary;
-      let code, _ =
-        run_cli (Printf.sprintf "store verify --store %s" (Filename.quote dir))
+      (* the rerun after damage recomputes the entry: same stdout, the
+         same payload bytes, a clean store *)
+      let rerun_restores what =
+        let code, out = run_stdout profile in
+        Alcotest.(check int) (what ^ ": rerun") 0 code;
+        Alcotest.(check string) (what ^ ": same stdout") first out;
+        Alcotest.(check string) (what ^ ": payload rewritten byte-identical")
+          pristine (read_file payload);
+        Alcotest.(check int) (what ^ ": verify clean again") 0 (fst (verify ()))
       in
-      Alcotest.(check int) "damage exits 4" 4 code;
-      let code, out =
-        run_cli (Printf.sprintf "store repair --store %s" (Filename.quote dir))
-      in
-      Alcotest.(check int) "repair succeeds" 0 code;
-      Alcotest.(check bool) "reports the restoration" true
-        (Astring_contains.contains out "repaired");
-      Alcotest.(check string) "primary restored byte-identical" pristine
-        (read_file primary);
-      let code, _ =
-        run_cli (Printf.sprintf "store verify --store %s" (Filename.quote dir))
-      in
-      Alcotest.(check int) "clean again" 0 code;
-      (* scrub path: the corrupt copy is moved aside, never deleted *)
-      flip_byte primary;
-      let mangled = read_file primary in
+      flip_byte payload;
+      Alcotest.(check int) "damage exits 4" 4 (fst (verify ()));
+      rerun_restores "after verify";
+      (* scrub path: the corrupt payload is moved aside, never deleted *)
+      flip_byte payload;
+      let mangled = read_file payload in
       let code, _ =
         run_cli (Printf.sprintf "store scrub --store %s" (Filename.quote dir))
       in
       Alcotest.(check int) "scrub exits 0" 0 code;
       Alcotest.(check bool) "wreckage quarantined" true
-        (Sys.file_exists (primary ^ ".corrupt"));
+        (Sys.file_exists (payload ^ ".corrupt"));
       Alcotest.(check string) "quarantined bytes preserved" mangled
-        (read_file (primary ^ ".corrupt"));
-      let code, _ =
-        run_cli (Printf.sprintf "store repair --store %s" (Filename.quote dir))
-      in
-      Alcotest.(check int) "repair refills the quarantined copy" 0 code;
-      Alcotest.(check string) "refilled byte-identical" pristine
-        (read_file primary);
-      let code, _ =
-        run_cli (Printf.sprintf "store verify --store %s" (Filename.quote dir))
-      in
-      Alcotest.(check int) "verify after scrub+repair" 0 code)
+        (read_file (payload ^ ".corrupt"));
+      rerun_restores "after scrub")
 
 let test_kill_mid_put_never_loses_acknowledged_profile () =
   (* the acceptance scenario: a profile acknowledged by exit 0 must
@@ -530,14 +554,12 @@ let test_kill_mid_put_never_loses_acknowledged_profile () =
     (fun () ->
       let code, _ =
         run_cli
-          (Printf.sprintf "profile -w li -t 3 --store %s --replicas 1"
-             (Filename.quote dir))
+          (Printf.sprintf "profile -w li -t 3 --store %s" (Filename.quote dir))
       in
       Alcotest.(check int) "acknowledged seed" 0 code;
       let specs =
         [ "store.commit@1@kill";
           "store.payload.write@1@kill";
-          "store.payload.write@2@kill";
           "journal.append@1@kill";
           "journal.append@2@kill";
           "journal.append@3@kill";
@@ -604,6 +626,8 @@ let suite =
       test_checkpoint_resume_byte_identical;
     Alcotest.test_case "resume skips completed work" `Slow
       test_checkpoint_completes_and_resume_skips;
+    Alcotest.test_case "sharded checkpoint not served stale" `Slow
+      test_sharded_checkpoint_not_served_stale;
     Alcotest.test_case "store warm run served from cache" `Slow
       test_store_warm_run_served_from_cache;
     Alcotest.test_case "store profile and inspection subcommands" `Slow
@@ -612,7 +636,7 @@ let suite =
       test_store_get_and_missing_key;
     Alcotest.test_case "store merge matches Profile.merge" `Slow
       test_store_merge_matches_profile_merge;
-    Alcotest.test_case "store verify/repair/scrub cycle" `Slow
-      test_store_verify_repair_scrub_cycle;
+    Alcotest.test_case "store verify/scrub recompute cycle" `Slow
+      test_store_verify_scrub_recompute_cycle;
     Alcotest.test_case "kill -9 mid-put never loses an acknowledged profile"
       `Slow test_kill_mid_put_never_loses_acknowledged_profile ]

@@ -1,7 +1,8 @@
 (* Driver subsystem tests: pool ordering and error determinism, the
    once-per-key guarantee of the memo cache under concurrent domains, the
-   unified Profiler_intf adapters, and the headline property — parallel
-   Experiments.print_all output is byte-identical to serial. *)
+   unified Profiler_intf adapters, and the headline property — the
+   experiment suite rendered from a parallel run is byte-identical to a
+   serial one. *)
 
 let test_pool_map_matches_serial () =
   let xs = List.init 100 Fun.id in
@@ -302,35 +303,27 @@ let test_plan_names_fused_units () =
     [ "profile:wa:test"; "profile:wa:test" ]
     (Driver.plan [ pj wa; fueled ])
 
-(* Capture stdout into a string across [f ()] by swapping the fd — the
-   experiments print with raw [Printf], so buffer tricks would not do. *)
-let capture_stdout f =
-  let path = Filename.temp_file "vprof_driver" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      flush stdout;
-      let saved = Unix.dup Unix.stdout in
-      let fd = Unix.openfile path [ O_WRONLY; O_TRUNC ] 0o600 in
-      Unix.dup2 fd Unix.stdout;
-      Unix.close fd;
-      Fun.protect
-        ~finally:(fun () ->
-          flush stdout;
-          Unix.dup2 saved Unix.stdout;
-          Unix.close saved)
-        f;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
+(* The suite's rendered bytes: computation fans out over [jobs] domains,
+   results come back in registry order. *)
+let rendered_suite jobs =
+  let rep =
+    Experiments.run
+      ~config:{ Experiments.default_run_config with rc_jobs = Some jobs }
+      Experiments.all
+  in
+  Alcotest.(check int) "no experiment failed" 0
+    (List.length rep.Experiments.failures);
+  String.concat ""
+    (List.map
+       (fun (spec, tables) -> Experiments.render spec tables)
+       rep.Experiments.results)
 
-let test_print_all_parallel_byte_identical () =
+let test_suite_parallel_byte_identical () =
   Harness.clear_cache ();
-  let serial = capture_stdout (fun () -> Experiments.print_all ~jobs:1 ()) in
+  let serial = rendered_suite 1 in
   Harness.clear_cache ();
-  let parallel = capture_stdout (fun () -> Experiments.print_all ~jobs:4 ()) in
-  Alcotest.(check bool) "suite actually printed" true
+  let parallel = rendered_suite 4 in
+  Alcotest.(check bool) "suite actually rendered" true
     (String.length serial > 10_000);
   Alcotest.(check bool) "parallel output byte-identical to serial" true
     (String.equal serial parallel)
@@ -366,5 +359,5 @@ let suite =
       test_fuse_coalesces_shared_executions;
     Alcotest.test_case "plan names fused units" `Quick
       test_plan_names_fused_units;
-    Alcotest.test_case "print_all parallel == serial (bytes)" `Slow
-      test_print_all_parallel_byte_identical ]
+    Alcotest.test_case "suite parallel == serial (bytes)" `Slow
+      test_suite_parallel_byte_identical ]

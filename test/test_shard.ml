@@ -196,28 +196,9 @@ let test_pool_serial_path_telemetry () =
    test_checkpoint.ml, with the profile collected through the sharded
    path) ---- *)
 
-let with_faults f = Fun.protect ~finally:Fault.disarm f
-
-let temp_dir () =
-  let path = Filename.temp_file "vprof_shard" "" in
-  Sys.remove path;
-  path
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let with_store f =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let test_sharded_grid_kill_and_resume_byte_identical () =
   let w = shard_workload ~name:"shardw-ckpt" () in
-  let jobs () =
+  let jobs =
     [ ( "profile",
         fun () ->
           let p = Harness.sharded_profile w Workload.Test ~shards:2 in
@@ -225,34 +206,26 @@ let test_sharded_grid_kill_and_resume_byte_identical () =
       ( "summary",
         fun () ->
           let p = Harness.sharded_profile w Workload.Test ~shards:2 in
-          Printf.sprintf "summary %d %d\n" p.Profile.profiled_events
+          Printf.sprintf "summary %d %d" p.Profile.profiled_events
             p.Profile.dynamic_instructions );
       ( "plain",
         fun () ->
           let m = Harness.plain_run w Workload.Test in
-          Printf.sprintf "plain %d\n" (Machine.icount m) ) ]
+          Printf.sprintf "plain %d" (Machine.icount m) ) ]
   in
-  let concat rep = String.concat "" (Supervisor.oks rep) in
+  let open Test_checkpoint in
   Harness.clear_cache ();
-  let reference = concat (Supervisor.run_strings ~jobs:1 (jobs ())) in
+  let reference = concat (run_grid jobs) in
   with_store (fun dir ->
       with_faults (fun () ->
           Fault.arm ~site:"supervisor.job" ~at:2 ();
           Harness.clear_cache ();
-          let ck = Checkpoint.create ~resume:false dir in
-          let rep =
-            Supervisor.run_strings
-              ~policy:
-                { Supervisor.default_policy with retries = 0;
-                  on_error = `Abort }
-              ~jobs:1 ~checkpoint:ck (jobs ())
-          in
+          let rep = run_grid ~dir ~abort_on_first_failure:true jobs in
           Alcotest.(check int) "first job committed before the crash" 1
             rep.Supervisor.completed);
       (* resume after a "restart": cold cache, fault disarmed *)
       Harness.clear_cache ();
-      let ck = Checkpoint.create ~resume:true dir in
-      let rep = Supervisor.run_strings ~jobs:1 ~checkpoint:ck (jobs ()) in
+      let rep = run_grid ~dir jobs in
       Alcotest.(check int) "everything completed" 3 rep.Supervisor.completed;
       Alcotest.(check string) "resumed sharded grid byte-identical" reference
         (concat rep);

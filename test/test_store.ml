@@ -1,6 +1,7 @@
 (* The profile store: fingerprint keys, both backends' get/put/reload
-   behavior, checksum distrust, generations + gc, the profile-entry layer
-   (v3 bytes), and every path that replaces an entry's bytes. *)
+   behavior, checksum distrust, salvage-shaped loading, generations + gc,
+   the profile-entry layer (v3 bytes), recompute after corruption, and
+   every path that replaces an entry's bytes. *)
 
 let temp_dir () =
   let path = Filename.temp_file "vprof_store" "" in
@@ -20,6 +21,18 @@ let with_dir f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let counter_value name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc text)
+
+let payload_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> Filename.check_suffix f ".out")
+  |> List.sort compare
 
 let fp ?fuel ?(shards = 1) ?(config = "") ?(workload = "go") () =
   Store.Fingerprint.make ?fuel ~shards ~config ~profiler:"full"
@@ -140,6 +153,128 @@ let test_corrupt_payload_not_trusted () =
       Alcotest.(check (option string)) "corrupt entry treated as absent" None
         (Store.find s' "bad"))
 
+(* --- salvage-shaped loading ------------------------------------------ *)
+
+let manifest dir = Filename.concat dir "manifest"
+
+let test_torn_manifest_tail_dropped () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"first" ~payload:"p1";
+      Store.put s ~key:"second" ~payload:"p2";
+      (* tear the manifest mid-way through its last line, as a crash
+         during a non-atomic write would *)
+      let text = read_file (manifest dir) in
+      write_file (manifest dir) (String.sub text 0 (String.length text - 5));
+      let s' = Store.open_dir dir in
+      Alcotest.(check int) "torn entry dropped" 1
+        (Store.stats s').Store.st_entries;
+      Alcotest.(check (option string)) "earlier entry survives" (Some "p1")
+        (Store.find s' "first");
+      Alcotest.(check (option string)) "torn entry not trusted" None
+        (Store.find s' "second"))
+
+let test_garbage_manifest_line_stops_load () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"a" ~payload:"p";
+      let text = read_file (manifest dir) in
+      write_file (manifest dir) (text ^ "done not-a-real-entry\n");
+      Alcotest.(check int) "checksummed prefix kept" 1
+        (Store.stats (Store.open_dir dir)).Store.st_entries)
+
+let test_truncated_payload_not_trusted () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"job" ~payload:"precious bytes";
+      write_file (Filename.concat dir (List.hd (payload_files dir))) "precious";
+      Alcotest.(check (option string)) "size check rejects the payload" None
+        (Store.find (Store.open_dir dir) "job"))
+
+(* A committed store whose manifest is cut at EVERY byte offset either
+   loads a salvaged prefix or fails cleanly — each surviving entry
+   byte-equal to what was committed, never a corrupt payload slipping
+   past its checksum, and salvage is prefix-shaped (an entry only
+   survives if every earlier one does). *)
+let committed = [ ("alpha", "payload one\n"); ("beta two", "p2\x00bin") ]
+
+let check_salvage ~ctx s =
+  let n = (Store.stats s).Store.st_entries in
+  Alcotest.(check bool) (ctx ^ ": no more entries than committed") true
+    (n <= List.length committed);
+  let found =
+    List.map
+      (fun (key, payload) ->
+        match Store.find s key with
+        | None -> false
+        | Some got ->
+          Alcotest.(check string) (ctx ^ ": " ^ key ^ " byte-equal") payload
+            got;
+          true)
+      committed
+  in
+  Alcotest.(check int) (ctx ^ ": entries counts the survivors") n
+    (List.length (List.filter Fun.id found));
+  (* prefix-shaped: true, true, ..., false, false, ... *)
+  let rec is_prefix = function
+    | [] -> true
+    | true :: rest -> is_prefix rest
+    | false :: rest -> not (List.exists Fun.id rest)
+  in
+  Alcotest.(check bool) (ctx ^ ": salvage is a prefix") true (is_prefix found)
+
+let test_manifest_cut_at_every_offset () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      List.iter (fun (key, payload) -> Store.put s ~key ~payload) committed;
+      let text = read_file (manifest dir) in
+      for cut = 0 to String.length text do
+        write_file (manifest dir) (String.sub text 0 cut);
+        check_salvage ~ctx:(Printf.sprintf "cut at %d" cut) (Store.open_dir dir)
+      done;
+      (* the intact manifest still loads everything *)
+      write_file (manifest dir) text;
+      Alcotest.(check int) "intact manifest loads all" (List.length committed)
+        (Store.stats (Store.open_dir dir)).Store.st_entries)
+
+(* The same property, under random payloads (arbitrary bytes, newlines
+   included) and a random cut offset. *)
+let prop_truncated_manifest_salvages_cleanly =
+  QCheck.Test.make
+    ~name:"truncated manifest: salvaged prefix or clean failure" ~count:40
+    QCheck.(pair (small_list string) small_nat)
+    (fun (payloads, cutpick) ->
+      let dir = temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          (* a reset store commits its (empty) manifest up front *)
+          let s = Store.open_dir ~reset:true dir in
+          let keyed =
+            List.mapi (fun i p -> (Printf.sprintf "job-%d" i, p)) payloads
+          in
+          List.iter (fun (key, payload) -> Store.put s ~key ~payload) keyed;
+          let text = read_file (manifest dir) in
+          let cut = cutpick mod (String.length text + 1) in
+          write_file (manifest dir) (String.sub text 0 cut);
+          let s' = Store.open_dir dir in
+          (Store.stats s').Store.st_entries <= List.length keyed
+          && List.for_all
+               (fun (key, payload) ->
+                 match Store.find s' key with
+                 | None -> true
+                 | Some got -> String.equal got payload)
+               keyed))
+
+let test_rejects_file_as_dir () =
+  let path = Filename.temp_file "vprof_store" "" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match Store.open_dir path with
+      | _ -> Alcotest.fail "expected Sys_error"
+      | exception Sys_error _ -> ())
+
 let test_generations_and_gc () =
   with_dir (fun dir ->
       let s = Store.open_dir dir in
@@ -209,112 +344,70 @@ let test_decode_failure_is_a_miss () =
   Alcotest.(check int) "counted" (d0 + 1)
     (counter_value "store.decode_failures")
 
-(* --- durability & self-healing ------------------------------------- *)
+(* --- durability ------------------------------------------------------ *)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path text =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
-
-let payload_files dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.filter (fun f -> Filename.check_suffix f ".out")
-  |> List.sort compare
-
-let test_replicas_mirror_and_heal () =
+(* The cache contract: bytes that fail their checksum are never served.
+   The entry is a miss, and the caller's put of the recomputed bytes
+   rewrites the file byte-identically. *)
+let test_corrupt_payload_recomputed_byte_identical () =
   with_dir (fun dir ->
-      let s = Store.open_dir ~replicas:2 dir in
-      Store.put s ~key:"k" ~payload:"replicated-bytes";
-      Alcotest.(check int) "stats replicas" 2
-        (Store.stats s).Store.st_replicas;
-      let name =
-        match payload_files dir with
-        | [ f ] -> f
-        | fs -> Alcotest.failf "expected one payload, found %d" (List.length fs)
-      in
-      let primary = Filename.concat dir name in
-      let mirror i =
-        Filename.concat
-          (Filename.concat dir (Printf.sprintf "replica%d" i))
-          name
-      in
-      List.iter
-        (fun p ->
-          Alcotest.(check string) ("copy at " ^ p) "replicated-bytes"
-            (read_file p))
-        [ primary; mirror 1; mirror 2 ];
-      (* smash the primary: same size, wrong bytes — only the checksum
-         can tell, and the replicas keep the entry alive *)
-      write_file primary "replicated-BYTES";
-      let s' = Store.open_dir dir in
-      Alcotest.(check (option string)) "served from replica"
-        (Some "replicated-bytes") (Store.find s' "k");
-      let r0 = counter_value "store.read_repairs" in
-      Alcotest.(check (option string)) "get read-repairs"
-        (Some "replicated-bytes") (Store.get s' "k");
-      Alcotest.(check int) "read repair counted" (r0 + 1)
-        (counter_value "store.read_repairs");
-      Alcotest.(check string) "primary healed byte-identical"
-        "replicated-bytes" (read_file primary))
+      let pristine = "deterministic-payload-bytes" in
+      let s = Store.open_dir dir in
+      Store.put s ~key:"k" ~payload:pristine;
+      let path = Filename.concat dir (List.hd (payload_files dir)) in
+      (* one flipped byte: same size, so only the checksum can tell *)
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 0xFF));
+      write_file path (Bytes.to_string b);
+      let s = Store.open_dir dir in
+      Alcotest.(check (option string)) "get misses" None (Store.get s "k");
+      let c = Store.verify s in
+      Alcotest.(check bool) "verify flags the entry" false
+        (Store.check_clean c);
+      Alcotest.(check int) "as lost" 1 c.Store.c_lost;
+      (* the caller recomputes and puts the same bytes *)
+      Store.put s ~key:"k" ~payload:pristine;
+      Alcotest.(check string) "file rewritten byte-identical" pristine
+        (read_file path);
+      let s = Store.open_dir dir in
+      Alcotest.(check (option string)) "served after a reopen" (Some pristine)
+        (Store.get s "k");
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s)))
 
 let test_scrub_quarantines_never_deletes () =
   with_dir (fun dir ->
-      let s = Store.open_dir ~replicas:1 dir in
+      let s = Store.open_dir dir in
       Store.put s ~key:"k" ~payload:"precious-bytes!!";
-      let name = List.hd (payload_files dir) in
-      let replica = Filename.concat (Filename.concat dir "replica1") name in
-      write_file replica "precious-BYTES!!";
+      let payload = Filename.concat dir (List.hd (payload_files dir)) in
+      write_file payload "precious-BYTES!!";
       let q0 = counter_value "store.quarantined" in
       let c = Store.scrub s in
       Alcotest.(check int) "one entry surveyed" 1 c.Store.c_entries;
-      Alcotest.(check int) "primary copy ok" 1 c.Store.c_copies_ok;
+      Alcotest.(check int) "no copy ok" 0 c.Store.c_copies_ok;
       Alcotest.(check int) "one bad copy" 1 c.Store.c_copies_bad;
       Alcotest.(check int) "quarantined" 1 c.Store.c_quarantined;
       Alcotest.(check int) "quarantine counted" (q0 + 1)
         (counter_value "store.quarantined");
       Alcotest.(check bool) "moved aside, not deleted" true
-        (Sys.file_exists (replica ^ ".corrupt"));
+        (Sys.file_exists (payload ^ ".corrupt"));
       Alcotest.(check string) "wreckage preserved byte-for-byte"
         "precious-BYTES!!"
-        (read_file (replica ^ ".corrupt"));
+        (read_file (payload ^ ".corrupt"));
       Alcotest.(check bool) "original name gone" false
-        (Sys.file_exists replica))
-
-let test_repair_restores_byte_identical () =
-  with_dir (fun dir ->
-      let s = Store.open_dir ~replicas:1 dir in
-      Store.put s ~key:"k" ~payload:"golden-payload-bytes";
-      let name = List.hd (payload_files dir) in
-      let primary = Filename.concat dir name in
-      write_file primary "mangled";
-      let s' = Store.open_dir dir in
-      Alcotest.(check bool) "verify flags the damage" false
-        (Store.check_clean (Store.verify s'));
-      let r = Store.repair s' in
-      Alcotest.(check int) "one copy repaired" 1 r.Store.c_repaired;
-      Alcotest.(check int) "nothing lost" 0 r.Store.c_lost;
-      Alcotest.(check string) "byte-identical restoration"
-        "golden-payload-bytes" (read_file primary);
-      Alcotest.(check bool) "clean after repair" true
-        (Store.check_clean (Store.verify s')))
+        (Sys.file_exists payload))
 
 let test_orphan_tmp_swept_on_open () =
   with_dir (fun dir ->
-      let s = Store.open_dir ~replicas:1 dir in
+      let s = Store.open_dir dir in
       Store.put s ~key:"k" ~payload:"v";
-      (* a crashed atomic commit leaves temp files behind, in the
-         primary and in replica trees alike *)
+      (* a crashed atomic commit leaves a temp file behind *)
       write_file (Filename.concat dir "stranded.tmp") "half-written";
-      write_file
-        (Filename.concat (Filename.concat dir "replica1") "also.tmp")
-        "x";
       let o0 = counter_value "store.orphans_swept" in
       let s' = Store.open_dir dir in
-      Alcotest.(check int) "both orphans counted" (o0 + 2)
+      Alcotest.(check int) "orphan counted" (o0 + 1)
         (counter_value "store.orphans_swept");
-      Alcotest.(check bool) "primary orphan gone" false
+      Alcotest.(check bool) "orphan gone" false
         (Sys.file_exists (Filename.concat dir "stranded.tmp"));
       Alcotest.(check (option string)) "entries untouched" (Some "v")
         (Store.find s' "k"))
@@ -351,56 +444,16 @@ let test_decode_failure_quarantined_on_disk () =
 
    Each installs new bytes under an existing key. The manifest row written
    afterwards must carry the checksum of the new bytes: a stale one would
-   match no copy on the next open, and the entry would come back lost. *)
-
-(* A three-instruction program: [program ()]'s profile names pcs outside
-   it, so those bytes pass their checksum yet never decode against it. *)
-let small_program () =
-  let open Isa in
-  let b = Asm.create () in
-  Asm.proc b "main" (fun b ->
-      Asm.ldi b t0 5L;
-      Asm.addi b ~dst:t1 t0 3L;
-      Asm.halt b);
-  Asm.assemble b ~entry:"main"
-
-let test_recover_from_mirror_survives_reopen () =
-  with_dir (fun dir ->
-      let small = small_program () in
-      let small_profile = Profile.run small in
-      let small_bytes = Profile_io.to_binary small_profile in
-      let want = Profile_io.to_string small_profile in
-      let s = Store.open_dir ~replicas:1 dir in
-      Store.put_profile s ~key:"p" (Profile.run (program ()));
-      (* the primary keeps its CRC-valid bytes; the replica now holds a
-         profile of [small] *)
-      let name = List.hd (payload_files dir) in
-      write_file (Filename.concat (Filename.concat dir "replica1") name)
-        small_bytes;
-      let served s =
-        match Store.get_profile s ~program:small ~key:"p" with
-        | Some p -> Profile_io.to_string p
-        | None -> Alcotest.fail "expected the replica's profile"
-      in
-      let s = Store.open_dir dir in
-      Alcotest.(check string) "replica's profile served" want (served s);
-      Alcotest.(check string) "primary healed from the replica" small_bytes
-        (read_file (Filename.concat dir name));
-      let s' = Store.open_dir dir in
-      Alcotest.(check (option string)) "entry survives a reopen"
-        (Some small_bytes) (Store.find s' "p");
-      Alcotest.(check string) "and still decodes" want (served s');
-      Alcotest.(check bool) "verify clean" true
-        (Store.check_clean (Store.verify s'));
-      Alcotest.(check int) "nothing lost" 0 (Store.stats s').Store.st_lost)
+   not match the file on the next open, and the entry would come back
+   lost. *)
 
 let test_roll_forward_over_existing_entry () =
   with_dir (fun dir ->
-      let s = Store.open_dir ~replicas:1 dir in
+      let s = Store.open_dir dir in
       Store.put s ~key:"k" ~payload:"old bytes";
       (* a crash mid-put of new bytes: the journal holds the intent, the
-         primary already has the new bytes, the replica and the manifest
-         still have the old ones *)
+         payload file already has the new bytes, the manifest still
+         describes the old ones *)
       let fresh = "new bytes, longer than the old" in
       Journal.append_intent ~dir
         (Journal.Put
@@ -411,8 +464,6 @@ let test_roll_forward_over_existing_entry () =
       let s' = Store.open_dir dir in
       Alcotest.(check (option string)) "rolled forward" (Some fresh)
         (Store.find s' "k");
-      Alcotest.(check string) "replica healed" fresh
-        (read_file (Filename.concat (Filename.concat dir "replica1") name));
       let s'' = Store.open_dir dir in
       Alcotest.(check (option string)) "still served after a second reopen"
         (Some fresh) (Store.find s'' "k");
@@ -450,8 +501,8 @@ let gen_op =
       (2, return New_generation);
       (2, return Reopen) ]
 
-let print_case (replicas, ops) =
-  Printf.sprintf "replicas=%d [%s]" replicas
+let print_case ops =
+  Printf.sprintf "[%s]"
     (String.concat "; "
        (List.map
           (function
@@ -466,13 +517,13 @@ let prop_commits_match_model =
   QCheck.Test.make ~count:40
     ~name:"put/overwrite/gc/generation/reopen sequences match a model"
     (QCheck.make ~print:print_case
-       QCheck.Gen.(pair (int_bound 1) (list_size (int_range 1 25) gen_op)))
-    (fun (replicas, ops) ->
+       QCheck.Gen.(list_size (int_range 1 25) gen_op))
+    (fun ops ->
       let dir = temp_dir () in
       Fun.protect
         ~finally:(fun () -> rm_rf dir)
         (fun () ->
-          let s = ref (Store.open_dir ~replicas dir) in
+          let s = ref (Store.open_dir dir) in
           let model = Hashtbl.create 8 in
           let gen = ref 0 in
           let reopen () =
@@ -545,6 +596,17 @@ let suite =
     Alcotest.test_case "reset starts empty" `Quick test_dir_reset_starts_empty;
     Alcotest.test_case "corrupt payload not trusted" `Quick
       test_corrupt_payload_not_trusted;
+    Alcotest.test_case "torn manifest tail dropped" `Quick
+      test_torn_manifest_tail_dropped;
+    Alcotest.test_case "garbage manifest line stops load" `Quick
+      test_garbage_manifest_line_stops_load;
+    Alcotest.test_case "truncated payload not trusted" `Quick
+      test_truncated_payload_not_trusted;
+    Alcotest.test_case "manifest cut at every byte offset" `Quick
+      test_manifest_cut_at_every_offset;
+    QCheck_alcotest.to_alcotest prop_truncated_manifest_salvages_cleanly;
+    Alcotest.test_case "rejects a file where a dir is needed" `Quick
+      test_rejects_file_as_dir;
     Alcotest.test_case "generations and gc" `Quick test_generations_and_gc;
     Alcotest.test_case "entries sorted with generations" `Quick
       test_entries_sorted_with_generations;
@@ -552,18 +614,14 @@ let suite =
       test_profile_roundtrip_exact;
     Alcotest.test_case "decode failure is a miss" `Quick
       test_decode_failure_is_a_miss;
-    Alcotest.test_case "replicas mirror and heal" `Quick
-      test_replicas_mirror_and_heal;
+    Alcotest.test_case "corrupt payload recomputed byte-identical" `Quick
+      test_corrupt_payload_recomputed_byte_identical;
     Alcotest.test_case "scrub quarantines, never deletes" `Quick
       test_scrub_quarantines_never_deletes;
-    Alcotest.test_case "repair restores byte-identical" `Quick
-      test_repair_restores_byte_identical;
     Alcotest.test_case "orphan tmp swept on open" `Quick
       test_orphan_tmp_swept_on_open;
     Alcotest.test_case "decode failure quarantined on disk" `Quick
       test_decode_failure_quarantined_on_disk;
-    Alcotest.test_case "mirror recovery survives reopen" `Quick
-      test_recover_from_mirror_survives_reopen;
     Alcotest.test_case "roll-forward over an existing entry" `Quick
       test_roll_forward_over_existing_entry;
     QCheck_alcotest.to_alcotest prop_commits_match_model ]

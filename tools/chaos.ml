@@ -9,15 +9,15 @@
      2. storm     — a randomly generated multi-site fault schedule is
                     armed over a checkpointed experiment run; whatever it
                     kills, the exit code must stay in {0, 1} (never a
-                    hang, never an internal error) and a fault-free
-                    --resume must reproduce the fault-free reference
-                    bytes exactly.
+                    hang, never an internal error) and a fault-free rerun
+                    against the same directory must reproduce the
+                    fault-free reference bytes exactly.
      3. deadline  — a run under an impossible --deadline must exit 3 and
                     still leave complete --trace/--metrics dumps behind.
      4. degrade   — a run under --max-heap 0 --degrade must complete
                     (exit 0) and report its degradation in the metrics.
      5. truncate  — the committed checkpoint manifest is cut at a random
-                    byte; --resume must salvage the intact prefix and
+                    byte; a rerun must salvage the intact prefix and
                     still reproduce the reference bytes exactly.
 
    With --kill-loop the harness instead runs the crash-point survival
@@ -29,7 +29,7 @@
    a warm run of the seeded workload is still served from cache (no
    acknowledged profile lost), and the reopening run itself exits
    cleanly (no partial mutation survives recovery). A checkpointed
-   suite killed at checkpoint.commit must resume to byte-identical
+   suite killed at its first store.commit must rerun to byte-identical
    reference output, and a gc killed mid-journal-append must complete
    its removals on reopen.
 
@@ -171,7 +171,6 @@ let sites =
      ("checkpoint.load", 1, 2);
      ("shard.merge", 1, 2);
      ("store.commit", 1, 4);
-     ("checkpoint.commit", 1, 4);
      ("journal.append", 1, 8) |]
 
 let random_schedule rng =
@@ -230,16 +229,16 @@ let scenario_storm opts rng ~seed ~dir ~ref_bytes =
   record ~seed ~name:"storm" code_ok
     (Printf.sprintf "VPROF_FAULT=%S -> exit %d (want 0|1, 124 = hang)" spec
        code);
-  (* whatever the storm did to the run, a clean resume must finish the
+  (* whatever the storm did to the run, a clean rerun must finish the
      suite and reproduce the reference bytes exactly *)
   let out2 = Filename.concat dir "storm-resume.out" in
   let code2 =
     run_vprof opts ~out:out2 ~err
-      [ "experiments"; "--smoke"; "--checkpoint"; ck; "--resume" ]
+      [ "experiments"; "--smoke"; "--checkpoint"; ck ]
   in
   let bytes = read_file out2 in
   record ~seed ~name:"storm" (code2 = 0 && bytes = Some ref_bytes)
-    (Printf.sprintf "fault-free resume -> exit %d, bytes %s reference" code2
+    (Printf.sprintf "fault-free rerun -> exit %d, bytes %s reference" code2
        (if bytes = Some ref_bytes then "==" else "!="))
 
 let scenario_deadline opts ~seed ~dir =
@@ -313,13 +312,13 @@ let scenario_truncate opts rng ~seed ~dir ~ref_bytes =
        let out2 = Filename.concat dir "trunc-resume.out" in
        let code2 =
          run_vprof opts ~out:out2 ~err
-           [ "experiments"; "--smoke"; "--checkpoint"; ck; "--resume" ]
+           [ "experiments"; "--smoke"; "--checkpoint"; ck ]
        in
        let bytes = read_file out2 in
        record ~seed ~name:"truncate"
          (code2 = 0 && bytes = Some ref_bytes)
          (Printf.sprintf
-            "manifest cut at byte %d/%d, resume -> exit %d, bytes %s \
+            "manifest cut at byte %d/%d, rerun -> exit %d, bytes %s \
              reference"
             cut (String.length text) code2
             (if bytes = Some ref_bytes then "==" else "!=")))
@@ -365,7 +364,7 @@ let kill_campaign opts seed =
          acknowledgment) — the entry every later crash must not lose *)
       let code =
         run_vprof opts ~out ~err
-          [ "profile"; "-w"; seeded; "--store"; st; "--replicas"; "1" ]
+          [ "profile"; "-w"; seeded; "--store"; st ]
       in
       if code <> 0 then
         record ~seed ~name:"kill-seed" false
@@ -380,7 +379,7 @@ let kill_campaign opts seed =
           incr iters;
           let ccode =
             run_vprof opts ~fault:spec ~fault_seed:seed ~out ~err
-              [ "profile"; "-w"; victim; "--store"; st; "--replicas"; "1" ]
+              [ "profile"; "-w"; victim; "--store"; st ]
           in
           (* 137 = SIGKILLed at the site, 1 = injected torn write, 0 =
              the spec's hit count exceeded what this run crosses *)
@@ -408,13 +407,11 @@ let kill_campaign opts seed =
               :: !failures
         in
         (* whole-process kills at every commit-path site: before the
-           journal intent, between the per-copy payload writes, and at
-           each of the run's journal appends (generation intent/commit,
-           put intent/commit) *)
+           journal intent, before the payload write, and at each of the
+           run's journal appends (generation intent/commit, put
+           intent/commit) *)
         List.iter crash_and_check
-          ([ "store.commit@1@kill" ]
-           @ List.init 2 (fun i ->
-                 Printf.sprintf "store.payload.write@%d@kill" (i + 1))
+          ([ "store.commit@1@kill"; "store.payload.write@1@kill" ]
            @ List.init 4 (fun i ->
                  Printf.sprintf "journal.append@%d@kill" (i + 1)));
         (* torn journal appends: the append stops at byte B and the
@@ -457,9 +454,9 @@ let kill_campaign opts seed =
               (want 0)"
              gcode vcode)
       end;
-      (* a supervised suite killed at checkpoint.commit: the checkpoint
-         rides the same journaled store, so a fault-free resume must
-         reproduce the fault-free reference bytes exactly *)
+      (* a supervised suite killed at its first store commit: a
+         fault-free rerun against the same directory must reproduce the
+         fault-free reference bytes exactly *)
       match reference opts ~dir with
       | None ->
         record ~seed ~name:"kill-ck" false
@@ -469,21 +466,21 @@ let kill_campaign opts seed =
         let out = Filename.concat dir "ck.out"
         and err = Filename.concat dir "ck.err" in
         let code =
-          run_vprof opts ~fault:"checkpoint.commit@1@kill" ~fault_seed:seed
+          run_vprof opts ~fault:"store.commit@1@kill" ~fault_seed:seed
             ~out ~err
             [ "experiments"; "--smoke"; "--checkpoint"; ck ]
         in
         let out2 = Filename.concat dir "ck-resume.out" in
         let code2 =
           run_vprof opts ~out:out2 ~err
-            [ "experiments"; "--smoke"; "--checkpoint"; ck; "--resume" ]
+            [ "experiments"; "--smoke"; "--checkpoint"; ck ]
         in
         let bytes = read_file out2 in
         record ~seed ~name:"kill-ck"
           (code = 137 && code2 = 0 && bytes = Some ref_bytes)
           (Printf.sprintf
-             "kill at checkpoint.commit -> exit %d (want 137), resume -> \
-              exit %d, bytes %s reference"
+             "kill at store.commit -> exit %d (want 137), rerun -> exit %d, \
+              bytes %s reference"
              code code2
              (if bytes = Some ref_bytes then "==" else "!=")))
 
