@@ -9,6 +9,12 @@ let default_config =
   { tnv_capacity = 8; tnv_policy = Tnv.Lfu_clear; clear_interval = 2000;
     distinct_cap = 1024 }
 
+(* Values are kept as raw 64-bit words in [Bytes] buffers (word [i] at byte
+   [8 * i]): recording a new value boxes nothing and runs no write
+   barrier. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 (* Growable open-addressing int64 set for the distinct-value count.
    [Hashtbl] costs a [caml_hash] C call per probe, which showed up as one
    of the larger per-event costs for high-entropy points; this probes with
@@ -16,7 +22,7 @@ let default_config =
    cells so 0L is an ordinary member. Load is kept at or under 1/2. *)
 module Distinct = struct
   type t = {
-    mutable values : int64 array;
+    mutable values : Bytes.t;
     mutable present : Bytes.t;
     mutable mask : int;
     mutable count : int;
@@ -25,7 +31,7 @@ module Distinct = struct
   let initial_size = 16
 
   let create () =
-    { values = Array.make initial_size 0L;
+    { values = Bytes.make (8 * initial_size) '\000';
       present = Bytes.make initial_size '\000';
       mask = initial_size - 1;
       count = 0 }
@@ -34,11 +40,12 @@ module Distinct = struct
     Int64.to_int (Int64.shift_right_logical (Int64.mul v 0x9E3779B97F4A7C15L) 32)
     land t.mask
 
+  let[@inline] value t i = get64u t.values (8 * i)
+  let[@inline] set_value t i v = set64u t.values (8 * i) v
+
   (* Cell holding [v], or the empty cell where it would go. *)
-  let rec probe t v i =
-    if Bytes.unsafe_get t.present i = '\000'
-       || Int64.equal (Array.unsafe_get t.values i) v
-    then i
+  let rec probe t (v : int64) i =
+    if Bytes.unsafe_get t.present i = '\000' || value t i = v then i
     else probe t v ((i + 1) land t.mask)
 
   let length t = t.count
@@ -46,14 +53,14 @@ module Distinct = struct
   let grow t =
     let old_values = t.values and old_present = t.present in
     let size = 2 * (t.mask + 1) in
-    t.values <- Array.make size 0L;
+    t.values <- Bytes.make (8 * size) '\000';
     t.present <- Bytes.make size '\000';
     t.mask <- size - 1;
-    for i = 0 to Array.length old_values - 1 do
+    for i = 0 to Bytes.length old_present - 1 do
       if Bytes.get old_present i <> '\000' then begin
-        let v = old_values.(i) in
+        let v = get64u old_values (8 * i) in
         let j = probe t v (hash t v) in
-        t.values.(j) <- v;
+        set_value t j v;
         Bytes.set t.present j '\001'
       end
     done
@@ -63,7 +70,7 @@ module Distinct = struct
     let i = probe t v (hash t v) in
     if Bytes.unsafe_get t.present i <> '\000' then false
     else begin
-      t.values.(i) <- v;
+      set_value t i v;
       Bytes.set t.present i '\001';
       t.count <- t.count + 1;
       if 2 * t.count > t.mask then grow t;
@@ -75,12 +82,12 @@ module Distinct = struct
 
   let iter t f =
     for i = 0 to t.mask do
-      if Bytes.get t.present i <> '\000' then f t.values.(i)
+      if Bytes.get t.present i <> '\000' then f (value t i)
     done
 
   let reset t =
     if t.mask + 1 > initial_size then begin
-      t.values <- Array.make initial_size 0L;
+      t.values <- Bytes.make (8 * initial_size) '\000';
       t.present <- Bytes.make initial_size '\000';
       t.mask <- initial_size - 1
     end
@@ -94,7 +101,7 @@ type t = {
   distinct : Distinct.t;
   distinct_cap : int;
   mutable saturated : bool;
-  mutable last : int64;
+  last : Bytes.t; (* one word: the previous value, when [has_last] *)
   mutable has_last : bool;
   mutable lvp_hits : int;
   mutable zero_hits : int;
@@ -110,7 +117,7 @@ let create ?(config = default_config) () =
     distinct = Distinct.create ();
     distinct_cap = config.distinct_cap;
     saturated = false;
-    last = 0L;
+    last = Bytes.make 8 '\000';
     has_last = false;
     lvp_hits = 0;
     zero_hits = 0 }
@@ -120,19 +127,18 @@ let track_distinct t v =
     ignore (Distinct.add t.distinct v)
   else if not (Distinct.mem t.distinct v) then t.saturated <- true
 
-let observe t v =
+let observe t (v : int64) =
   let hit = Tnv.add_mem t.tnv v in
   if t.has_last then begin
-    let repeat = Int64.equal v t.last in
+    let last = get64u t.last 0 in
+    let repeat = v = last in
     if repeat then begin
       t.lvp_hits <- t.lvp_hits + 1;
-      (* the repeat case keeps the old [last] box and the constant 0 delta
-         instead of a store barrier plus a boxed [Int64.sub] *)
       Tnv.add t.deltas 0L
     end
     else begin
-      Tnv.add t.deltas (Int64.sub v t.last);
-      t.last <- v
+      Tnv.add t.deltas (Int64.sub v last);
+      set64u t.last 0 v
     end;
     if Int64.equal v 0L then t.zero_hits <- t.zero_hits + 1;
     (* a value already resident in the TNV table (or equal to the previous
@@ -143,7 +149,7 @@ let observe t v =
     if not (repeat || hit || t.saturated) then track_distinct t v
   end
   else begin
-    t.last <- v;
+    set64u t.last 0 v;
     t.has_last <- true;
     if Int64.equal v 0L then t.zero_hits <- t.zero_hits + 1;
     track_distinct t v
@@ -195,7 +201,7 @@ let merge a b =
     distinct_cap;
     saturated =
       a.saturated || b.saturated || Distinct.length distinct > distinct_cap;
-    last = (if b.has_last then b.last else a.last);
+    last = Bytes.copy (if b.has_last then b.last else a.last);
     has_last = a.has_last || b.has_last;
     lvp_hits = a.lvp_hits + b.lvp_hits;
     zero_hits = a.zero_hits + b.zero_hits }
@@ -205,7 +211,7 @@ let reset t =
   Tnv.reset t.deltas;
   Distinct.reset t.distinct;
   t.saturated <- false;
-  t.last <- 0L;
+  set64u t.last 0 0L;
   t.has_last <- false;
   t.lvp_hits <- 0;
   t.zero_hits <- 0

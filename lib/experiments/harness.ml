@@ -10,7 +10,13 @@ let workloads = Workloads.all
    procedure profiler attach to the same machine, and hooks never perturb
    architectural state (registers, memory, icount, exec counts), so the
    machine doubles as the "plain run". Before fusion the suite executed
-   every workload/input up to three times. *)
+   every workload/input up to three times.
+
+   Both profilers attach inside one recording frame and are detached once
+   their snapshots are collected: the memoized machine then holds no
+   hooks, so the profilers' live per-point state (TNV tables, distinct
+   sets) is garbage as soon as the entry is built, not for the life of
+   the process. *)
 
 type entry = {
   e_machine : Machine.t;
@@ -24,13 +30,17 @@ let cache : (string * Workload.input, entry) Memo_cache.t =
 let entry (w : Workload.t) input =
   Memo_cache.find_or_compute cache (w.wname, input) (fun () ->
       let machine = Machine.create (w.wbuild input) in
-      let profile_live = Profile.attach machine `All in
       let config = { Procprof.default_config with arities = w.warities } in
-      let proc_live = Procprof.attach ~config machine in
+      let (profile_live, proc_live), attachment =
+        Machine.with_attachment machine (fun () ->
+            let profile_live = Profile.attach machine `All in
+            (profile_live, Procprof.attach ~config machine))
+      in
       ignore (Machine.run machine);
-      { e_machine = machine;
-        e_profile = Profile.collect profile_live;
-        e_procprof = Procprof.collect proc_live })
+      let e_profile = Profile.collect profile_live in
+      let e_procprof = Procprof.collect proc_live in
+      Machine.detach machine attachment;
+      { e_machine = machine; e_profile; e_procprof })
 
 (* Cross-invocation profile reuse: with a store attached, a memo miss
    consults the store before executing the machine, and a computed

@@ -35,9 +35,9 @@ val set_store : Store.t option -> unit
 
 val store : unit -> Store.t option
 
-(** Memoized machine state after a full run. The machine carries the
-    profilers' hooks but identical architectural state (registers, memory,
-    counters) to an uninstrumented run. *)
+(** Memoized machine state after a full run: the same architectural state
+    (registers, memory, counters) as an uninstrumented run. The profilers
+    that ran with it are detached, so it carries no hooks. *)
 val plain_run : Workload.t -> Workload.input -> Machine.t
 
 (** Memoized procedure profile (with the workload's declared arities). *)

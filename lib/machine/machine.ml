@@ -3,6 +3,7 @@ type trap =
   | Invalid_pc of int
   | Call_depth_exceeded of int
   | Fuel_exhausted of int
+  | Negative_address of int
 
 exception Trap of trap
 
@@ -11,23 +12,147 @@ let string_of_trap = function
   | Invalid_pc pc -> Printf.sprintf "invalid pc %d" pc
   | Call_depth_exceeded d -> Printf.sprintf "call depth exceeded (%d)" d
   | Fuel_exhausted f -> Printf.sprintf "fuel exhausted (%d instructions)" f
+  | Negative_address pc -> Printf.sprintf "negative address at pc %d" pc
 
 type hook = int64 -> int64 -> unit
 
 let stack_base = 0x7F0_0000L
 let max_call_depth = 100_000
 
-type frame = { return_pc : int; frame_proc : int }
+(* Registers, immediates and memory words are raw 64-bit words in [Bytes]
+   buffers: reading or writing one moves a machine word, never a boxed
+   [int64], so an instruction allocates nothing and runs no write barrier
+   unless a hook at its pc needs the value boxed. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The decoded instruction set. One constructor per ALU operation and
+   operand kind ([_r]: register, [_i]: immediate) and per branch
+   condition, so the executor's single jump table does all the decoding
+   [Isa.instr] would otherwise need at run time. *)
+type opcode =
+  | Add_r | Add_i | Sub_r | Sub_i | Mul_r | Mul_i
+  | Div_r | Div_i | Rem_r | Rem_i
+  | And_r | And_i | Or_r | Or_i | Xor_r | Xor_i
+  | Sll_r | Sll_i | Srl_r | Srl_i | Sra_r | Sra_i
+  | Cmpeq_r | Cmpeq_i | Cmplt_r | Cmplt_i | Cmple_r | Cmple_i
+  | Cmpult_r | Cmpult_i
+  | Ldi | Ld | St
+  | Beq | Bne | Blt | Ble | Bgt | Bge
+  | Jmp | Jsr | Jsr_ind | Ret | Halt | Nop
+  | Bad_reg  (** names a register outside 0..31: raises when executed *)
+  | Bad_pc  (** the sentinel past the end of the code *)
+
+(* Register slots. Slot [scratch_slot] absorbs writes to the zero register,
+   so the register file's slot 31 stays 0 and no arm tests the
+   destination. *)
+let scratch_slot = Isa.num_regs
+let reg_bytes = 8 * (Isa.num_regs + 1)
+
+let alu_opcode op ~imm =
+  match (op : Isa.binop), imm with
+  | Add, false -> Add_r | Add, true -> Add_i
+  | Sub, false -> Sub_r | Sub, true -> Sub_i
+  | Mul, false -> Mul_r | Mul, true -> Mul_i
+  | Div, false -> Div_r | Div, true -> Div_i
+  | Rem, false -> Rem_r | Rem, true -> Rem_i
+  | And, false -> And_r | And, true -> And_i
+  | Or, false -> Or_r | Or, true -> Or_i
+  | Xor, false -> Xor_r | Xor, true -> Xor_i
+  | Sll, false -> Sll_r | Sll, true -> Sll_i
+  | Srl, false -> Srl_r | Srl, true -> Srl_i
+  | Sra, false -> Sra_r | Sra, true -> Sra_i
+  | Cmpeq, false -> Cmpeq_r | Cmpeq, true -> Cmpeq_i
+  | Cmplt, false -> Cmplt_r | Cmplt, true -> Cmplt_i
+  | Cmple, false -> Cmple_r | Cmple, true -> Cmple_i
+  | Cmpult, false -> Cmpult_r | Cmpult, true -> Cmpult_i
+
+let branch_opcode = function
+  | Isa.Eq -> Beq | Isa.Ne -> Bne | Isa.Lt -> Blt
+  | Isa.Le -> Ble | Isa.Gt -> Bgt | Isa.Ge -> Bge
+
+(* The registers an instruction names; any outside 0..31 makes it
+   [Bad_reg], which raises [Invalid_argument "index out of bounds"] (what
+   an out-of-range register access has always raised) when executed. *)
+let named_regs = function
+  | Isa.Op (_, ra, Isa.Reg rb, rc) -> [ ra; rb; rc ]
+  | Isa.Op (_, ra, Isa.Imm _, rc) -> [ ra; rc ]
+  | Isa.Ldi (rd, _) -> [ rd ]
+  | Isa.Ld (rd, rb, _) -> [ rd; rb ]
+  | Isa.St (ra, rb, _) -> [ ra; rb ]
+  | Isa.Br (_, ra, _) | Isa.Jsr_ind ra -> [ ra ]
+  | Isa.Jmp _ | Isa.Jsr _ | Isa.Ret | Isa.Halt | Isa.Nop -> []
+
+(* Decode a program into [(ops, args, imms)]: for pc [i] (and the sentinel
+   [i = n]), [ops.(i)] is the opcode and [args.(3i .. 3i+2)] its operands
+   a, b, c: registers as byte offsets into the register file, c the
+   destination register or the branch/call target. The immediate (ALU
+   operand, [Ldi] value, or load/store offset) is the word at [8i] in
+   [imms]. *)
+let decode (code : Isa.instr array) =
+  let n = Array.length code in
+  let ops = Array.make (n + 1) Bad_pc in
+  let args = Array.make (3 * (n + 1)) 0 in
+  let imms = Bytes.make (8 * (n + 1)) '\000' in
+  Array.iteri
+    (fun pc instr ->
+      let src r = 8 * r in
+      let dst r = 8 * (if r = Isa.zero_reg then scratch_slot else r) in
+      let set ?(a = 0) ?(b = 0) ?(c = 0) ?(imm = 0L) op =
+        ops.(pc) <- op;
+        args.(3 * pc) <- a;
+        args.((3 * pc) + 1) <- b;
+        args.((3 * pc) + 2) <- c;
+        Bytes.set_int64_ne imms (8 * pc) imm
+      in
+      if List.exists (fun r -> r < 0 || r >= Isa.num_regs) (named_regs instr)
+      then set Bad_reg
+      else
+        match instr with
+        | Isa.Op (op, ra, Isa.Reg rb, rc) ->
+          set (alu_opcode op ~imm:false) ~a:(src ra) ~b:(src rb) ~c:(dst rc)
+        | Isa.Op (op, ra, Isa.Imm v, rc) ->
+          set (alu_opcode op ~imm:true) ~a:(src ra) ~c:(dst rc) ~imm:v
+        | Isa.Ldi (rd, v) -> set Ldi ~c:(dst rd) ~imm:v
+        | Isa.Ld (rd, rb, off) ->
+          set Ld ~b:(src rb) ~c:(dst rd) ~imm:(Int64.of_int off)
+        | Isa.St (ra, rb, off) ->
+          set St ~a:(src ra) ~b:(src rb) ~imm:(Int64.of_int off)
+        | Isa.Br (cond, ra, target) -> set (branch_opcode cond) ~a:(src ra) ~c:target
+        | Isa.Jmp target -> set Jmp ~c:target
+        | Isa.Jsr target -> set Jsr ~c:target
+        | Isa.Jsr_ind r -> set Jsr_ind ~a:(src r)
+        | Isa.Ret -> set Ret
+        | Isa.Halt -> set Halt
+        | Isa.Nop -> set Nop)
+    code;
+  (ops, args, imms)
+
+let initial_call_stack = 64
 
 type t = {
   prog : Asm.program;
-  regs : int64 array;
+  (* the decoded program (see [decode]); [ncode] is the sentinel's pc *)
+  ops : opcode array;
+  args : int array;
+  imms : Bytes.t;
+  ncode : int;
+  (* Set by [run] for its loop: which per-step checks are armed (a set of
+     [check_*] bits, 0 on a fault-free, ungoverned run) and the fuel the
+     run was granted. *)
+  mutable checks : int;
+  mutable fuel : int;
+  regs : Bytes.t;
   mem : Memory.t;
   mutable pc : int;
   mutable halted : bool;
   mutable icount : int;
   exec_counts : int array;
-  mutable stack : frame list;
+  (* The call stack: frame [d] (0 = outermost) returns to [ret_pcs.(d)]
+     and belongs to procedure [ret_procs.(d)] (-1 outside any proc). The
+     arrays double on demand up to [max_call_depth] frames. *)
+  mutable ret_pcs : int array;
+  mutable ret_procs : int array;
   mutable depth : int;
   proc_of : int array; (* pc -> proc index, -1 outside any proc *)
   (* What the interpreter dispatches through: at most one closure per
@@ -69,19 +194,27 @@ let load_data t =
   List.iter (fun (base, words) -> Memory.load_segment t.mem base words) t.prog.data
 
 let init_regs regs =
-  Array.fill regs 0 (Array.length regs) 0L;
-  regs.(Isa.sp) <- stack_base
+  Bytes.fill regs 0 reg_bytes '\000';
+  set64u regs (8 * Isa.sp) stack_base
 
 let create prog =
+  let ops, args, imms = decode prog.Asm.code in
   let t =
     { prog;
-      regs = Array.make Isa.num_regs 0L;
+      ops;
+      args;
+      imms;
+      ncode = Array.length prog.code;
+      checks = 0;
+      fuel = 0;
+      regs = Bytes.create reg_bytes;
       mem = Memory.create ();
       pc = prog.entry;
       halted = false;
       icount = 0;
       exec_counts = Array.make (Array.length prog.code) 0;
-      stack = [];
+      ret_pcs = Array.make initial_call_stack 0;
+      ret_procs = Array.make initial_call_stack 0;
       depth = 0;
       proc_of = build_proc_of prog;
       hooks = Array.make (Array.length prog.code) None;
@@ -104,13 +237,19 @@ let reset t =
   t.halted <- false;
   t.icount <- 0;
   Array.fill t.exec_counts 0 (Array.length t.exec_counts) 0;
-  t.stack <- [];
   t.depth <- 0
 
 let program t = t.prog
-let reg t r = t.regs.(r)
 
-let set_reg t r v = if r <> Isa.zero_reg then t.regs.(r) <- v
+let check_reg r = if r < 0 || r >= Isa.num_regs then invalid_arg "index out of bounds"
+
+let reg t r =
+  check_reg r;
+  get64u t.regs (8 * r)
+
+let set_reg t r v =
+  check_reg r;
+  if r <> Isa.zero_reg then set64u t.regs (8 * r) v
 
 let memory t = t.mem
 let pc t = t.pc
@@ -119,10 +258,8 @@ let icount t = t.icount
 let exec_count t pc = t.exec_counts.(pc)
 let call_depth t = t.depth
 
-let caller_pc t =
-  match t.stack with
-  | [] -> None
-  | frame :: _ -> Some (frame.return_pc - 1)
+let caller_pc t = if t.depth = 0 then None else Some (t.ret_pcs.(t.depth - 1) - 1)
+
 (* Additive subscription. The first observer at a point is installed
    directly, so a singly-instrumented point dispatches straight to the
    profiler's closure — zero cost over the pre-fan-out machine. When a
@@ -239,142 +376,254 @@ let detach t subs =
         rebuild_return t i)
     subs
 
-let eval_binop op pc a b =
-  match op with
-  | Isa.Add -> Int64.add a b
-  | Isa.Sub -> Int64.sub a b
-  | Isa.Mul -> Int64.mul a b
-  | Isa.Div -> if Int64.equal b 0L then raise (Trap (Div_by_zero pc)) else Int64.div a b
-  | Isa.Rem -> if Int64.equal b 0L then raise (Trap (Div_by_zero pc)) else Int64.rem a b
-  | Isa.And -> Int64.logand a b
-  | Isa.Or -> Int64.logor a b
-  | Isa.Xor -> Int64.logxor a b
-  | Isa.Sll -> Int64.shift_left a (Int64.to_int b land 63)
-  | Isa.Srl -> Int64.shift_right_logical a (Int64.to_int b land 63)
-  | Isa.Sra -> Int64.shift_right a (Int64.to_int b land 63)
-  | Isa.Cmpeq -> if Int64.equal a b then 1L else 0L
-  | Isa.Cmplt -> if Int64.compare a b < 0 then 1L else 0L
-  | Isa.Cmple -> if Int64.compare a b <= 0 then 1L else 0L
-  | Isa.Cmpult -> if Int64.unsigned_compare a b < 0 then 1L else 0L
+let grow_call_stack t =
+  let size = min max_call_depth (2 * Array.length t.ret_pcs) in
+  let extend a = Array.append a (Array.make (size - Array.length a) 0) in
+  t.ret_pcs <- extend t.ret_pcs;
+  t.ret_procs <- extend t.ret_procs
 
-let cond_holds c v =
-  let s = Int64.compare v 0L in
-  match c with
-  | Isa.Eq -> s = 0
-  | Isa.Ne -> s <> 0
-  | Isa.Lt -> s < 0
-  | Isa.Le -> s <= 0
-  | Isa.Gt -> s > 0
-  | Isa.Ge -> s >= 0
-
-let check_pc t pc =
-  if pc < 0 || pc >= Array.length t.prog.code then raise (Trap (Invalid_pc pc))
-
-let enter_proc t target =
-  check_pc t target;
+let enter_proc t pc target =
+  if target < 0 || target >= t.ncode then raise (Trap (Invalid_pc target));
   let callee = t.proc_of.(target) in
   if t.depth >= max_call_depth then raise (Trap (Call_depth_exceeded max_call_depth));
-  t.stack <- { return_pc = t.pc + 1; frame_proc = callee } :: t.stack;
+  if t.depth = Array.length t.ret_pcs then grow_call_stack t;
+  Array.unsafe_set t.ret_pcs t.depth (pc + 1);
+  Array.unsafe_set t.ret_procs t.depth callee;
   t.depth <- t.depth + 1;
   t.pc <- target;
   if callee >= 0 then
     match t.entry_hooks.(callee) with None -> () | Some h -> h t
 
-(* Deliver the per-pc dispatcher. Each [step] arm ends here with the value
-   and address it produced (0L where the instruction has none), so the
-   interpreter never materializes a (value, addr) pair — the old ref-cell
-   plumbing cost two allocations and two write barriers per instruction.
-   Zero or one observer costs one unsafe load plus an option test; several
-   observers cost the same dispatch into a pre-built fan-out closure (see
-   [add_hook]). [pc] was bounds-checked on entry to [step] and [hooks]
-   matches the code array's length. *)
-let[@inline] fire_hook t pc v a =
+(* [Ret]: [v] is [v0], read before the return hooks run. The frame is
+   popped after them, so a return hook still sees its own frame. *)
+let[@inline] leave_proc t v =
+  if t.depth = 0 then t.halted <- true
+  else begin
+    let d = t.depth - 1 in
+    let callee = Array.unsafe_get t.ret_procs d in
+    (if callee >= 0 then
+       match t.return_hooks.(callee) with None -> () | Some h -> h t v);
+    t.depth <- d;
+    t.pc <- Array.unsafe_get t.ret_pcs d
+  end
+
+(* Deliver the per-pc dispatcher. Every arm ends here with the value and
+   address it produced (0L where the instruction has none). Both stay
+   unboxed up to this point: they are boxed inside the [Some] branch only,
+   so a point without subscribers allocates nothing, and a delivered
+   event costs one box per value. [pc] is a real pc here (the sentinel
+   never fires hooks) and [hooks] matches the code array's length. *)
+let[@inline] fire t pc v a =
   match Array.unsafe_get t.hooks pc with None -> () | Some h -> h v a
 
-let step t =
-  if t.halted then ()
-  else begin
-    let pc = t.pc in
-    check_pc t pc;
-    let instr = Array.unsafe_get t.prog.code pc in
-    Array.unsafe_set t.exec_counts pc (Array.unsafe_get t.exec_counts pc + 1);
-    t.icount <- t.icount + 1;
-    match instr with
-    | Isa.Op (op, ra, ob, rc) ->
-      let b = match ob with Isa.Reg r -> t.regs.(r) | Isa.Imm v -> v in
-      let v = eval_binop op pc t.regs.(ra) b in
-      if rc <> Isa.zero_reg then t.regs.(rc) <- v;
-      t.pc <- pc + 1;
-      fire_hook t pc v 0L
-    | Isa.Ldi (rd, v) ->
-      if rd <> Isa.zero_reg then t.regs.(rd) <- v;
-      t.pc <- pc + 1;
-      fire_hook t pc v 0L
-    | Isa.Ld (rd, rb, off) ->
-      let a = Int64.add t.regs.(rb) (Int64.of_int off) in
-      let v = Memory.read t.mem a in
-      if rd <> Isa.zero_reg then t.regs.(rd) <- v;
-      t.pc <- pc + 1;
-      fire_hook t pc v a
-    | Isa.St (ra, rb, off) ->
-      let a = Int64.add t.regs.(rb) (Int64.of_int off) in
-      let v = t.regs.(ra) in
-      Memory.write t.mem a v;
-      t.pc <- pc + 1;
-      fire_hook t pc v a
-    | Isa.Br (c, ra, target) ->
-      let taken = cond_holds c t.regs.(ra) in
-      t.pc <- (if taken then target else pc + 1);
-      fire_hook t pc (if taken then 1L else 0L) 0L
-    | Isa.Jmp target ->
-      t.pc <- target;
-      fire_hook t pc 0L 0L
-    | Isa.Jsr target ->
-      enter_proc t target;
-      fire_hook t pc 0L 0L
-    | Isa.Jsr_ind r ->
-      let target = Int64.to_int t.regs.(r) in
-      enter_proc t target;
-      fire_hook t pc 0L 0L
-    | Isa.Ret ->
-      let v = t.regs.(Isa.v0) in
-      (match t.stack with
-       | [] -> t.halted <- true
-       | frame :: rest ->
-         (if frame.frame_proc >= 0 then
-            match t.return_hooks.(frame.frame_proc) with
-            | None -> ()
-            | Some h -> h t v);
-         t.stack <- rest;
-         t.depth <- t.depth - 1;
-         t.pc <- frame.return_pc);
-      fire_hook t pc v 0L
-    | Isa.Halt ->
-      t.halted <- true;
-      fire_hook t pc 0L 0L
-    | Isa.Nop ->
-      t.pc <- pc + 1;
-      fire_hook t pc 0L 0L
-  end
+let[@inline] tick t pc =
+  Array.unsafe_set t.exec_counts pc (Array.unsafe_get t.exec_counts pc + 1);
+  t.icount <- t.icount + 1
+
+(* Finish an instruction that wrote [v] to the register slot at byte
+   offset [dst] (the scratch slot for the zero register). *)
+let[@inline] retire t pc dst v a =
+  set64u t.regs dst v;
+  t.pc <- pc + 1;
+  fire t pc v a
+
+let[@inline] bool_word b = if b then 1L else 0L
+
+let[@inline] branch t pc target taken =
+  t.pc <- (if taken then target else pc + 1);
+  fire t pc (bool_word taken) 0L
+
+(* Shifts use the low 6 bits of the second operand. *)
+let[@inline] sll (x : int64) y = Int64.shift_left x (Int64.to_int y land 63)
+let[@inline] srl (x : int64) y = Int64.shift_right_logical x (Int64.to_int y land 63)
+let[@inline] sra (x : int64) y = Int64.shift_right x (Int64.to_int y land 63)
+
+let[@inline] unsigned_lt (x : int64) y =
+  Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
+
+let[@inline] divisor pc (y : int64) =
+  if y = 0L then raise (Trap (Div_by_zero pc)) else y
+
+(* Execute the instruction at [t.pc]: the one executor [step] and [run]'s
+   loop both inline. A pc outside the code dispatches to the sentinel. *)
+let[@inline] exec t =
+  let pc = t.pc in
+  let i = if pc >= 0 && pc < t.ncode then pc else t.ncode in
+  let ops = t.ops and args = t.args and imms = t.imms in
+  let regs = t.regs in
+  let k = 3 * i in
+  let oa = Array.unsafe_get args k
+  and ob = Array.unsafe_get args (k + 1)
+  and dst = Array.unsafe_get args (k + 2) in
+  let oi = 8 * i in
+  match Array.unsafe_get ops i with
+  | Add_r ->
+    tick t pc;
+    retire t pc dst (Int64.add (get64u regs oa) (get64u regs ob)) 0L
+  | Add_i ->
+    tick t pc;
+    retire t pc dst (Int64.add (get64u regs oa) (get64u imms oi)) 0L
+  | Sub_r ->
+    tick t pc;
+    retire t pc dst (Int64.sub (get64u regs oa) (get64u regs ob)) 0L
+  | Sub_i ->
+    tick t pc;
+    retire t pc dst (Int64.sub (get64u regs oa) (get64u imms oi)) 0L
+  | Mul_r ->
+    tick t pc;
+    retire t pc dst (Int64.mul (get64u regs oa) (get64u regs ob)) 0L
+  | Mul_i ->
+    tick t pc;
+    retire t pc dst (Int64.mul (get64u regs oa) (get64u imms oi)) 0L
+  | Div_r ->
+    tick t pc;
+    let y = divisor pc (get64u regs ob) in
+    retire t pc dst (Int64.div (get64u regs oa) y) 0L
+  | Div_i ->
+    tick t pc;
+    let y = divisor pc (get64u imms oi) in
+    retire t pc dst (Int64.div (get64u regs oa) y) 0L
+  | Rem_r ->
+    tick t pc;
+    let y = divisor pc (get64u regs ob) in
+    retire t pc dst (Int64.rem (get64u regs oa) y) 0L
+  | Rem_i ->
+    tick t pc;
+    let y = divisor pc (get64u imms oi) in
+    retire t pc dst (Int64.rem (get64u regs oa) y) 0L
+  | And_r ->
+    tick t pc;
+    retire t pc dst (Int64.logand (get64u regs oa) (get64u regs ob)) 0L
+  | And_i ->
+    tick t pc;
+    retire t pc dst (Int64.logand (get64u regs oa) (get64u imms oi)) 0L
+  | Or_r ->
+    tick t pc;
+    retire t pc dst (Int64.logor (get64u regs oa) (get64u regs ob)) 0L
+  | Or_i ->
+    tick t pc;
+    retire t pc dst (Int64.logor (get64u regs oa) (get64u imms oi)) 0L
+  | Xor_r ->
+    tick t pc;
+    retire t pc dst (Int64.logxor (get64u regs oa) (get64u regs ob)) 0L
+  | Xor_i ->
+    tick t pc;
+    retire t pc dst (Int64.logxor (get64u regs oa) (get64u imms oi)) 0L
+  | Sll_r -> tick t pc; retire t pc dst (sll (get64u regs oa) (get64u regs ob)) 0L
+  | Sll_i -> tick t pc; retire t pc dst (sll (get64u regs oa) (get64u imms oi)) 0L
+  | Srl_r -> tick t pc; retire t pc dst (srl (get64u regs oa) (get64u regs ob)) 0L
+  | Srl_i -> tick t pc; retire t pc dst (srl (get64u regs oa) (get64u imms oi)) 0L
+  | Sra_r -> tick t pc; retire t pc dst (sra (get64u regs oa) (get64u regs ob)) 0L
+  | Sra_i -> tick t pc; retire t pc dst (sra (get64u regs oa) (get64u imms oi)) 0L
+  | Cmpeq_r ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa = get64u regs ob)) 0L
+  | Cmpeq_i ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa = get64u imms oi)) 0L
+  | Cmplt_r ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa < get64u regs ob)) 0L
+  | Cmplt_i ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa < get64u imms oi)) 0L
+  | Cmple_r ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa <= get64u regs ob)) 0L
+  | Cmple_i ->
+    tick t pc;
+    retire t pc dst (bool_word (get64u regs oa <= get64u imms oi)) 0L
+  | Cmpult_r ->
+    tick t pc;
+    retire t pc dst (bool_word (unsigned_lt (get64u regs oa) (get64u regs ob))) 0L
+  | Cmpult_i ->
+    tick t pc;
+    retire t pc dst (bool_word (unsigned_lt (get64u regs oa) (get64u imms oi))) 0L
+  | Ldi -> tick t pc; retire t pc dst (get64u imms oi) 0L
+  | Ld ->
+    tick t pc;
+    let addr = Int64.add (get64u regs ob) (get64u imms oi) in
+    if addr < 0L then raise (Trap (Negative_address pc));
+    retire t pc dst (Memory.read t.mem addr) addr
+  | St ->
+    tick t pc;
+    let addr = Int64.add (get64u regs ob) (get64u imms oi) in
+    if addr < 0L then raise (Trap (Negative_address pc));
+    let v = get64u regs oa in
+    Memory.write t.mem addr v;
+    t.pc <- pc + 1;
+    fire t pc v addr
+  | Beq -> tick t pc; branch t pc dst (get64u regs oa = 0L)
+  | Bne -> tick t pc; branch t pc dst (get64u regs oa <> 0L)
+  | Blt -> tick t pc; branch t pc dst (get64u regs oa < 0L)
+  | Ble -> tick t pc; branch t pc dst (get64u regs oa <= 0L)
+  | Bgt -> tick t pc; branch t pc dst (get64u regs oa > 0L)
+  | Bge -> tick t pc; branch t pc dst (get64u regs oa >= 0L)
+  | Jmp ->
+    tick t pc;
+    t.pc <- dst;
+    fire t pc 0L 0L
+  | Jsr ->
+    tick t pc;
+    enter_proc t pc dst;
+    fire t pc 0L 0L
+  | Jsr_ind ->
+    tick t pc;
+    enter_proc t pc (Int64.to_int (get64u regs oa));
+    fire t pc 0L 0L
+  | Ret ->
+    tick t pc;
+    let v = get64u regs (8 * Isa.v0) in
+    leave_proc t v;
+    fire t pc v 0L
+  | Halt ->
+    tick t pc;
+    t.halted <- true;
+    fire t pc 0L 0L
+  | Nop ->
+    tick t pc;
+    t.pc <- pc + 1;
+    fire t pc 0L 0L
+  | Bad_reg ->
+    tick t pc;
+    invalid_arg "index out of bounds"
+  | Bad_pc -> raise (Trap (Invalid_pc pc))
+
+let step t = if not t.halted then exec t
 
 let m_runs = Obs.Metrics.counter "machine.runs"
 let m_steps = Obs.Metrics.counter "machine.steps"
 
+(* Counting down in a tail-recursive loop keeps the budget in a register.
+   The fault-injection and budget flags are read once per run into
+   [t.checks], so a fault-free, ungoverned loop pays one perfectly
+   predicted test per step, and the loop carries only [t] and the
+   countdown. Governed, the budget is polled on a periodic boundary
+   (every 4096 steps, when the fuel counter's low bits are clear). *)
+let check_faults = 1
+let check_budget = 2
+
+let run_checks t remaining =
+  if t.checks land check_faults <> 0 then Fault.point ~site:"machine.step";
+  if t.checks land check_budget <> 0 && remaining land 4095 = 0 then Budget.poll ()
+
+let rec loop t remaining =
+  if not t.halted then
+    if remaining <= 0 then raise (Trap (Fuel_exhausted t.fuel))
+    else begin
+      if t.checks <> 0 then run_checks t remaining;
+      exec t;
+      loop t (remaining - 1)
+    end
+
 let run ?(fuel = 500_000_000) t =
-  (* counting down in a tail-recursive loop keeps the budget in a register
-     instead of a heap-allocated ref dereferenced every instruction; the
-     fault-injection flag is read once, so a fault-free run's loop carries
-     only a perfectly-predicted register test per step. Observability sits
-     entirely outside the loop: a span around the whole run and two
-     counter adds after it, never per step. *)
-  let faults = Fault.enabled () in
-  (* Budget governance follows the same discipline as fault injection:
-     the armed flag is read once, so an ungoverned loop pays nothing.
-     Governed, the budget is polled on a periodic boundary (every 4096
-     steps, when the fuel counter's low bits are clear) — cheap enough
-     to be invisible, frequent enough that a deadline trips within
-     fractions of a millisecond of real work. *)
+  (* Observability sits entirely outside the loop: a span around the whole
+     run and two counter adds after it, never per step. *)
   let governed = Budget.armed () in
+  t.checks <-
+    (if Fault.enabled () then check_faults else 0)
+    lor if governed then check_budget else 0;
+  t.fuel <- fuel;
   let start_icount = t.icount in
   let finish () =
     Obs.Metrics.incr m_runs;
@@ -382,17 +631,7 @@ let run ?(fuel = 500_000_000) t =
   in
   Obs.Trace.begin_span ~cat:"machine" "machine.run";
   if governed then Budget.poll ();
-  let rec loop remaining =
-    if not t.halted then
-      if remaining <= 0 then raise (Trap (Fuel_exhausted fuel))
-      else begin
-        if faults then Fault.point ~site:"machine.step";
-        if governed && remaining land 4095 = 0 then Budget.poll ();
-        step t;
-        loop (remaining - 1)
-      end
-  in
-  (match loop fuel with
+  (match loop t fuel with
    | () -> ()
    | exception e ->
      finish ();

@@ -13,19 +13,27 @@
 
     Subscription is {e additive}: every [add_*] call attaches one more
     observer to the point; observers at the same point fire in attach
-    order. A point with a single observer costs what the machine has
-    always paid (one load, one option test, one call); several observers
-    dispatch through a fan-out closure built at attach time that loops
-    over a flat array — still one load on the hot path, and never an
-    allocation while the machine runs.
+    order. A point with a single observer costs one load, one option test
+    and one call; several observers dispatch through a fan-out closure
+    built at attach time that loops over a flat array — still one load on
+    the hot path.
 
-    Uninstrumented execution pays only an array lookup per instruction. *)
+    Execution model: {!create} decodes the program once into a flat form
+    (one opcode per pc that already folds in the ALU operation or branch
+    condition and the operand kind, register offsets and targets beside
+    it, immediates in an unboxed table), and one executor dispatches on
+    that form. Registers and memory pages hold raw 64-bit words, so an
+    instruction at an uninstrumented pc allocates nothing and runs no
+    write barrier. A value is boxed only where a subscriber receives it:
+    one minor allocation per delivered event. *)
 
 type trap =
   | Div_by_zero of int  (** pc *)
   | Invalid_pc of int
   | Call_depth_exceeded of int  (** depth limit *)
   | Fuel_exhausted of int  (** fuel that was granted *)
+  | Negative_address of int
+      (** pc of a load or store whose effective address is negative *)
 
 exception Trap of trap
 

@@ -16,7 +16,7 @@ let entry_env bindings =
     bindings;
   env
 
-(* Pure evaluation mirroring Machine.eval_binop; None where the machine
+(* Pure evaluation mirroring the machine's ALU arms; None where the machine
    would trap, so folding never hides a run-time trap. *)
 let eval op a b =
   match op with

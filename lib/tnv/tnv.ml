@@ -1,5 +1,10 @@
 type policy = Lfu_clear | Lfu | Lru
 
+(* Slot values are raw 64-bit words in a [Bytes] buffer (word [s] at byte
+   [8 * s]): storing a new value boxes nothing and runs no write barrier. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 (* The table proper is the parallel [values]/[counts]/[stamps] arrays, as
    in the paper. The [index] array is a small open-addressing (linear
    probing) value->slot map over the occupied slots, sized to a power of
@@ -13,7 +18,7 @@ type t = {
   pol : policy;
   cap : int;
   interval : int;
-  values : int64 array;
+  values : Bytes.t;
   counts : int array; (* count 0 = empty slot *)
   stamps : int array; (* last-touch tick, for LRU *)
   index : int array;
@@ -43,7 +48,7 @@ let create ?(policy = Lfu_clear) ?(clear_interval = 2000) ~capacity () =
   if clear_interval <= 0 then invalid_arg "Tnv.create: clear_interval must be positive";
   let isize = index_size capacity in
   { pol = policy; cap = capacity; interval = clear_interval;
-    values = Array.make capacity 0L;
+    values = Bytes.make (8 * capacity) '\000';
     counts = Array.make capacity 0;
     stamps = Array.make capacity 0;
     index = Array.make isize 0;
@@ -65,16 +70,20 @@ let[@inline] hash_slot t v =
   Int64.to_int (Int64.shift_right_logical (Int64.mul v 0x9E3779B97F4A7C15L) 32)
   land t.mask
 
+let[@inline] value t s = get64u t.values (8 * s)
+let[@inline] set_value t s v = set64u t.values (8 * s) v
+
 (* First index cell, probing from [i], that either holds [v]'s slot or is
    empty (the insertion point on a miss). Terminates because the index is
    never more than [cap <= mask/4 + 1] full. *)
-let rec probe_cell t v i =
+let rec probe_cell t (v : int64) i =
   let e = Array.unsafe_get t.index i in
-  if e = 0 || Int64.equal (Array.unsafe_get t.values (e - 1)) v then i
+  if e = 0 || value t (e - 1) = v then i
   else probe_cell t v ((i + 1) land t.mask)
 
 let index_insert t s =
-  let cell = probe_cell t t.values.(s) (hash_slot t t.values.(s)) in
+  let v = value t s in
+  let cell = probe_cell t v (hash_slot t v) in
   t.index.(cell) <- s + 1
 
 let rebuild_index t =
@@ -131,7 +140,7 @@ let periodic_clear t =
   for i = 0 to t.cap - 1 do
     if (not t.kept.(i)) && t.counts.(i) > 0 then begin
       t.counts.(i) <- 0;
-      t.values.(i) <- 0L;
+      set_value t i 0L;
       t.stamps.(i) <- 0;
       t.occupied <- t.occupied - 1
     end
@@ -154,7 +163,7 @@ let index_of_min t key =
 let replace t victim v =
   t.replacements <- t.replacements + 1;
   Obs.Metrics.incr m_evictions;
-  t.values.(victim) <- v;
+  set_value t victim v;
   t.counts.(victim) <- 1;
   t.stamps.(victim) <- t.total;
   t.last_slot <- victim;
@@ -172,11 +181,11 @@ let evict t v =
 (* [stamps] only drives {!Lru} victim selection, so the hit paths below
    touch that array (an extra cache line per event) only under [Lru]. *)
 
-let[@inline] add_mem t v =
+let[@inline] add_mem t (v : int64) =
   t.total <- t.total + 1;
   let hit =
     let ls = t.last_slot in
-    if ls >= 0 && Int64.equal (Array.unsafe_get t.values ls) v then begin
+    if ls >= 0 && value t ls = v then begin
       (* the dominant case value profiling banks on: the value repeats, and
          the slot is already known — no hash, no probe *)
       Array.unsafe_set t.counts ls (Array.unsafe_get t.counts ls + 1);
@@ -200,7 +209,7 @@ let[@inline] add_mem t v =
       end
       else if t.occupied < t.live_cap then begin
         let empty = find_empty t in
-        t.values.(empty) <- v;
+        set_value t empty v;
         t.counts.(empty) <- 1;
         t.stamps.(empty) <- t.total;
         t.occupied <- t.occupied + 1;
@@ -233,7 +242,7 @@ let covered t = Array.fold_left ( + ) 0 t.counts
 let entries t =
   let occupied = ref [] in
   for i = t.cap - 1 downto 0 do
-    if t.counts.(i) > 0 then occupied := (t.values.(i), t.counts.(i)) :: !occupied
+    if t.counts.(i) > 0 then occupied := (value t i, t.counts.(i)) :: !occupied
   done;
   let arr = Array.of_list !occupied in
   (* (count desc, value asc): Array.sort is unstable, so a count-only
@@ -294,7 +303,7 @@ let merge a b =
   let t = create ~policy:a.pol ~clear_interval:a.interval ~capacity:cap () in
   Array.iteri
     (fun s (v, c) ->
-      t.values.(s) <- v;
+      set_value t s v;
       t.counts.(s) <- c)
     union;
   t.occupied <- Array.length union;
@@ -305,7 +314,7 @@ let merge a b =
   t
 
 let reset t =
-  Array.fill t.values 0 t.cap 0L;
+  Bytes.fill t.values 0 (8 * t.cap) '\000';
   Array.fill t.counts 0 t.cap 0;
   Array.fill t.stamps 0 t.cap 0;
   Array.fill t.index 0 (Array.length t.index) 0;

@@ -87,6 +87,21 @@ let test_fuel_trap () =
   Alcotest.(check bool) "reports the trap" true
     (Astring_contains.contains out "fuel exhausted")
 
+(* A negative effective address is the program's fault, not vprof's: a
+   machine trap (exit 1), never an internal error (exit 125). *)
+let test_negative_address_trap () =
+  let path = Filename.temp_file "vprof_cli" ".s" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            ".entry main\n.proc main\n  ldi t0, #-5\n  ld t1, [t0+0]\n  halt\n.end\n");
+      let code, out = run_cli ("profile -w " ^ Filename.quote path) in
+      Alcotest.(check int) "runtime failures exit 1" 1 code;
+      Alcotest.(check bool) "reports the trap" true
+        (Astring_contains.contains out "vprof: machine trap: negative address at pc 1"))
+
 let test_diff () = check_ok "diff" "diff -w cc -t 3" [ "correlation" ]
 
 let test_emit_roundtrip () =
@@ -639,4 +654,5 @@ let suite =
     Alcotest.test_case "store verify/scrub recompute cycle" `Slow
       test_store_verify_scrub_recompute_cycle;
     Alcotest.test_case "kill -9 mid-put never loses an acknowledged profile"
-      `Slow test_kill_mid_put_never_loses_acknowledged_profile ]
+      `Slow test_kill_mid_put_never_loses_acknowledged_profile;
+    Alcotest.test_case "negative address trap" `Quick test_negative_address_trap ]

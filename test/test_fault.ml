@@ -244,12 +244,14 @@ let test_machine_step_site () =
   let prog = program 50L in
   with_faults (fun () ->
       Fault.arm ~site:"machine.step" ~at:10 ();
-      (match Machine.run (Machine.create prog) with
+      let m = Machine.create prog in
+      (match Machine.run m with
        | _ -> Alcotest.fail "expected Injected out of Machine.run"
        | exception Fault.Injected site ->
          Alcotest.(check string) "site" "machine.step" site);
       Alcotest.(check int) "fired on the 10th step" 10
-        (Fault.hits ~site:"machine.step"));
+        (Fault.hits ~site:"machine.step");
+      Alcotest.(check int) "after 9 completed steps" 9 (Machine.icount m));
   (* disarmed, the same machine program runs to completion *)
   let steps = Machine.run (Machine.create prog) in
   Alcotest.(check bool) "fault-free run completes" true (steps > 10)

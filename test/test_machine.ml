@@ -523,6 +523,112 @@ let test_sp_initial () =
   let m = Machine.create (build (fun b -> Asm.halt b)) in
   Alcotest.(check int64) "sp at stack base" Machine.stack_base (Machine.reg m sp)
 
+(* A load or store whose effective address is negative is a machine trap
+   at its pc, raised after the instruction is counted, like a division by
+   zero. *)
+let test_negative_address_traps () =
+  let check name emit =
+    let m =
+      Machine.create
+        (build (fun b ->
+             Asm.ldi b t0 (-5L);
+             emit b;
+             Asm.halt b))
+    in
+    Alcotest.check_raises name (Machine.Trap (Machine.Negative_address 1))
+      (fun () -> ignore (Machine.run m));
+    Alcotest.(check int) (name ^ ": trapping instruction counted") 1
+      (Machine.exec_count m 1);
+    Alcotest.(check int) (name ^ ": icount") 2 (Machine.icount m)
+  in
+  check "load" (fun b -> Asm.ld b ~dst:t1 ~base:t0 ~off:0);
+  check "store" (fun b -> Asm.st b ~src:t0 ~base:t0 ~off:2);
+  (* the offset is part of the effective address *)
+  check "offset" (fun b -> Asm.ld b ~dst:t1 ~base:zero_reg ~off:(-1))
+
+(* The eDSL does not check register indices: a program naming register 40
+   must still create and run, failing only when that instruction runs. *)
+let test_bad_register_raises_when_executed () =
+  let prog ~skip =
+    { Asm.code =
+        [| Isa.Ldi (t0, (if skip then 1L else 0L));
+           Isa.Br (Isa.Ne, t0, 3);
+           Isa.Op (Isa.Add, 40, Isa.Imm 1L, t1);
+           Isa.Halt |];
+      procs = [| { Asm.pname = "main"; pentry = 0; plength = 4; pindex = 0 } |];
+      data = [];
+      entry = 0 }
+  in
+  let m = Machine.create (prog ~skip:true) in
+  ignore (Machine.run m);
+  Alcotest.(check bool) "skipped: halts normally" true (Machine.halted m);
+  let m = Machine.create (prog ~skip:false) in
+  Alcotest.check_raises "executed" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Machine.run m));
+  Alcotest.(check int) "counted like any instruction" 1 (Machine.exec_count m 2);
+  Alcotest.check_raises "reg accessor" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Machine.reg m 40))
+
+let test_zero_register_write_hook () =
+  let prog =
+    build (fun b ->
+        Asm.ldi b t0 41L;
+        Asm.addi b ~dst:zero_reg t0 1L;
+        Asm.ld b ~dst:zero_reg ~base:t0 ~off:0;
+        Asm.halt b)
+  in
+  let m = Machine.create prog in
+  let seen = ref [] in
+  Machine.add_hook m 1 (fun v a -> seen := (v, a) :: !seen);
+  ignore (Machine.run m);
+  Alcotest.(check (list (pair int64 int64))) "hook sees the computed value"
+    [ (42L, 0L) ] !seen;
+  Alcotest.(check int64) "zero register still reads 0" 0L (Machine.reg m zero_reg)
+
+(* Recursion far deeper than the call stack's initial capacity: every
+   frame must return to its own call site, and [caller_pc] must name the
+   call instruction of the innermost frame at each level. *)
+let test_deep_recursion () =
+  let depth = 1000 in
+  let b = Asm.create () in
+  Asm.proc b "sum" (fun b ->
+      (* sum(n = a0) -> v0 = n + sum(n - 1), sum(0) = 0 *)
+      Asm.br b Eq a0 "base";
+      Asm.subi b ~dst:sp sp 1L;
+      Asm.st b ~src:a0 ~base:sp ~off:0;
+      Asm.subi b ~dst:a0 a0 1L;
+      Asm.call b "sum";
+      Asm.ld b ~dst:t0 ~base:sp ~off:0;
+      Asm.addi b ~dst:sp sp 1L;
+      Asm.add b ~dst:v0 v0 t0;
+      Asm.ret b;
+      Asm.label b "base";
+      Asm.ldi b v0 0L;
+      Asm.ret b);
+  Asm.proc b "main" (fun b ->
+      Asm.ldi b a0 (Int64.of_int depth);
+      Asm.call b "sum";
+      Asm.halt b);
+  let prog = Asm.assemble b ~entry:"main" in
+  let sum = Asm.find_proc prog "sum" and main = Asm.find_proc prog "main" in
+  let outer_call = main.Asm.pentry + 1 and inner_call = sum.Asm.pentry + 4 in
+  let m = Machine.create prog in
+  let bad = ref [] and max_depth = ref 0 in
+  let expect_caller what m =
+    let d = Machine.call_depth m in
+    max_depth := max !max_depth d;
+    let want = if d = 1 then outer_call else inner_call in
+    if Machine.caller_pc m <> Some want then bad := (what, d) :: !bad
+  in
+  Machine.add_proc_entry_hook m sum.Asm.pindex (expect_caller "entry");
+  Machine.add_proc_return_hook m sum.Asm.pindex (fun m _ -> expect_caller "return" m);
+  ignore (Machine.run m);
+  Alcotest.(check int) "deepest frame" (depth + 1) !max_depth;
+  Alcotest.(check (list (pair string int))) "caller_pc at every level" [] !bad;
+  Alcotest.(check int64) "sum 1..n" (Int64.of_int (depth * (depth + 1) / 2))
+    (Machine.reg m v0);
+  Alcotest.(check int) "stack unwound" 0 (Machine.call_depth m)
+
 let suite =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "logic and shifts" `Quick test_logic_and_shifts;
@@ -559,4 +665,9 @@ let suite =
       test_attachment_frames_do_not_nest;
     Alcotest.test_case "proc hook fan-out" `Quick test_proc_hook_fan_out;
     Alcotest.test_case "step after halt" `Quick test_step_after_halt_is_noop;
-    Alcotest.test_case "initial sp" `Quick test_sp_initial ]
+    Alcotest.test_case "initial sp" `Quick test_sp_initial;
+    Alcotest.test_case "negative address traps" `Quick test_negative_address_traps;
+    Alcotest.test_case "bad register raises when executed" `Quick
+      test_bad_register_raises_when_executed;
+    Alcotest.test_case "zero register write hook" `Quick test_zero_register_write_hook;
+    Alcotest.test_case "deep recursion" `Quick test_deep_recursion ]

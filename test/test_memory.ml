@@ -82,6 +82,37 @@ let qcheck_model =
             Int64.equal (Memory.read m a) expect)
         ops)
 
+(* Many more pages than the page cache has slots, touched in an
+   interleaved order (as a loop alternating between stack and data
+   would), including a read of a page before its first write: every word
+   reads back, and iteration visits every word of every page. *)
+let test_page_cache () =
+  let m = Memory.create () in
+  let pw = Int64.of_int Memory.page_words in
+  let pages =
+    [ 0L; 16L; 17L; 256L; 0x7EFFL; 0x7F00L ]
+    @ List.init 40 (fun i -> Int64.of_int (i * 3))
+  in
+  let addr k i = Int64.add (Int64.mul k pw) (Int64.of_int i) in
+  let value k i = Int64.add (Int64.mul k 100L) (Int64.of_int i) in
+  Alcotest.(check int64) "unwritten page reads zero" 0L
+    (Memory.read m (addr 0x7EFFL 9));
+  for i = 0 to 9 do
+    List.iter (fun k -> Memory.write m (addr k i) (value k i)) pages
+  done;
+  for i = 9 downto 0 do
+    List.iter
+      (fun k ->
+        Alcotest.(check int64) "reads back" (value k i) (Memory.read m (addr k i)))
+      pages
+  done;
+  let distinct = List.length (List.sort_uniq compare pages) in
+  Alcotest.(check int) "pages" distinct (Memory.pages_allocated m);
+  let words = ref 0 in
+  Memory.iter_touched m (fun _ _ -> incr words);
+  Alcotest.(check int) "every word of every page" (distinct * Memory.page_words)
+    !words
+
 let suite =
   [ Alcotest.test_case "default zero" `Quick test_default_zero;
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -91,4 +122,5 @@ let suite =
     Alcotest.test_case "negative address" `Quick test_negative_address;
     Alcotest.test_case "iter_touched" `Quick test_iter_touched;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "page cache" `Quick test_page_cache;
     QCheck_alcotest.to_alcotest qcheck_model ]
