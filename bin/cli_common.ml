@@ -208,8 +208,7 @@ let with_governance gv f =
   | { gv_deadline = None; gv_max_heap_mb = None; gv_degrade = false } -> f ()
   | _ ->
     Budget.govern
-      { Budget.no_limits with
-        deadline = gv.gv_deadline;
+      { Budget.deadline = gv.gv_deadline;
         max_heap_words = Option.map words_of_mb gv.gv_max_heap_mb;
         degrade = gv.gv_degrade }
       f

@@ -1360,9 +1360,6 @@ let () =
           --degrade to shed precision instead\n"
          w;
        3
-     | exception Budget.Disk_over_budget b ->
-       Printf.eprintf "vprof: checkpoint disk budget exceeded (%d bytes)\n" b;
-       3
      | exception e ->
        Printf.eprintf "vprof: internal error: %s\n" (Printexc.to_string e);
        125)

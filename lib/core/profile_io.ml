@@ -45,7 +45,7 @@ let body_to_string (p : Profile.t) =
     p.points;
   Buffer.contents buf
 
-(* v2 = the v1 body under a trailing [crc32 <hex>\n] over every preceding
+(* v2 = the text body under a trailing [crc32 <hex>\n] over every preceding
    byte, so truncation and corruption are detected instead of silently
    parsing as a shorter profile. *)
 let to_string p =
@@ -346,7 +346,7 @@ let split_trailer text =
 
 let of_text ?(salvage = false) ~(program : Asm.program) text =
   (* Version sniff first: v2 files must checksum-verify before any line is
-     trusted (unless salvaging), v1 files have no trailer. *)
+     trusted (unless salvaging); every other version is rejected. *)
   let first_line =
     match String.index_opt text '\n' with
     | Some i -> String.sub text 0 i
@@ -355,7 +355,6 @@ let of_text ?(salvage = false) ~(program : Asm.program) text =
   (match String.split_on_char ' ' first_line with
    | "vprof-profile" :: v :: _ ->
      (match int_of_string_opt v with
-      | Some 1 -> ()
       | Some n when n = version ->
         if not salvage then begin
           match split_trailer text with

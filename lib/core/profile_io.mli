@@ -37,9 +37,9 @@
 
     Loading re-attaches the points to a program (the same workload build),
     re-deriving each point's instruction and validating that every saved
-    pc is a value-producing instruction of that program. Version-1 files
-    (no trailer) still load; {!of_string} and {!read_file} sniff the
-    format from the first bytes.
+    pc is a value-producing instruction of that program. Text files must
+    be version 2 (version 1, which had no trailer, is rejected);
+    {!of_string} and {!read_file} sniff the format from the first bytes.
 
     Durability properties:
     - {!write_file} commits via temp-file + [rename], so a crash leaves

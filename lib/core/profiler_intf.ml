@@ -38,7 +38,7 @@ module type S = sig
 
   (** The run's cost counters (events seen/profiled, TNV maintenance,
       attach-to-collect wall clock), for `vprof --stats` and the
-      benchmark baseline. *)
+      metrics registry. *)
   val stats : result -> Counters.t
 end
 

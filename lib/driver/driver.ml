@@ -16,18 +16,6 @@ let job_name (Job { profiler = (module P); workload; input; _ }) =
   Printf.sprintf "%s:%s:%s" P.name workload.Workload.wname
     (Workload.string_of_input input)
 
-let run_job (Job { profiler = (module P); config; fuel; workload; input; finish }) =
-  let prog = workload.Workload.wbuild input in
-  finish (P.run ?config ?fuel prog)
-
-let job_fuel (Job { fuel; _ }) = fuel
-
-let run_job_with_fuel ~fuel:override
-    (Job { profiler = (module P); config; fuel; workload; input; finish }) =
-  let fuel = match override with Some _ -> override | None -> fuel in
-  let prog = workload.Workload.wbuild input in
-  finish (P.run ?config ?fuel prog)
-
 (* A schedulable unit: one machine execution serving one or more jobs.
    Members keep their submission index so results scatter back into
    submission order whatever the grouping did. *)

@@ -34,13 +34,6 @@ val job :
 (** ["<profiler>:<workload>:<input>"], for logs and bench labels. *)
 val job_name : 'a job -> string
 
-(** The fuel the job was created with ([None] = the machine default). *)
-val job_fuel : 'a job -> int option
-
-(** Run one job with the job's fuel replaced by [fuel] when [Some] — the
-    supervisor's retry path widens a timed-out job's budget this way. *)
-val run_job_with_fuel : fuel:int option -> 'a job -> 'a
-
 (** {2 Fused units}
 
     Jobs that share a [(workload, input, fuel)] key profile the {e same}

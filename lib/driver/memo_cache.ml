@@ -1,70 +1,25 @@
-type 'v done_entry = { v : 'v; mutable tick : int }
-type 'v entry = Running | Done of 'v done_entry
+type 'v entry = Running | Done of 'v
 
 type ('k, 'v) t = {
   mu : Mutex.t;
   cv : Condition.t;
   tbl : ('k, 'v entry) Hashtbl.t;
-  max_entries : int option;
-  mutable clock : int;
   mutable computations : int;
 }
 
-let m_evictions = Obs.Metrics.counter "memo.evictions"
-
-let create ?(size = 32) ?max_entries () =
-  (match max_entries with
-   | Some m when m < 1 -> invalid_arg "Memo_cache.create: max_entries < 1"
-   | _ -> ());
+let create () =
   { mu = Mutex.create ();
     cv = Condition.create ();
-    tbl = Hashtbl.create size;
-    max_entries;
-    clock = 0;
+    tbl = Hashtbl.create 32;
     computations = 0 }
-
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.tick <- t.clock
-
-(* Callers hold [t.mu]. Evicts least-recently-used [Done] entries until the
-   completed population fits the bound; [Running] entries are never evicted
-   (a waiter is latched on them). *)
-let enforce_bound t =
-  match t.max_entries with
-  | None -> ()
-  | Some m ->
-    let done_count =
-      Hashtbl.fold
-        (fun _ e acc -> match e with Done _ -> acc + 1 | Running -> acc)
-        t.tbl 0
-    in
-    let excess = done_count - m in
-    if excess > 0 then begin
-      let victims =
-        Hashtbl.fold
-          (fun k e acc ->
-            match e with Done d -> (d.tick, k) :: acc | Running -> acc)
-          t.tbl []
-        |> List.sort compare
-      in
-      List.iteri
-        (fun i (_, k) ->
-          if i < excess then begin
-            Hashtbl.remove t.tbl k;
-            Obs.Metrics.incr m_evictions
-          end)
-        victims
-    end
 
 let find_or_compute t k f =
   Mutex.lock t.mu;
   let rec get () =
     match Hashtbl.find_opt t.tbl k with
-    | Some (Done d) ->
-      touch t d;
+    | Some (Done v) ->
       Mutex.unlock t.mu;
-      d.v
+      v
     | Some Running ->
       Condition.wait t.cv t.mu;
       get ()
@@ -75,10 +30,7 @@ let find_or_compute t k f =
       (match f () with
        | v ->
          Mutex.lock t.mu;
-         let d = { v; tick = 0 } in
-         touch t d;
-         Hashtbl.replace t.tbl k (Done d);
-         enforce_bound t;
+         Hashtbl.replace t.tbl k (Done v);
          Condition.broadcast t.cv;
          Mutex.unlock t.mu;
          v

@@ -16,13 +16,8 @@
 
 type ('k, 'v) t
 
-(** [?max_entries] bounds the number of {e completed} entries: when an
-    insertion pushes the population past the bound, the least-recently-used
-    completed entries are evicted (each counting [memo.evictions] in
-    {!Obs}). In-flight computations are never evicted, so the once-per-key
-    guarantee is unaffected; an evicted key simply recomputes on next
-    request. [Invalid_argument] if [max_entries < 1]. *)
-val create : ?size:int -> ?max_entries:int -> unit -> ('k, 'v) t
+(** An empty cache. Entries are kept until {!clear}. *)
+val create : unit -> ('k, 'v) t
 
 (** [find_or_compute t k f] returns the cached value for [k], or runs
     [f ()] — once, even under concurrent callers — caches and returns it.

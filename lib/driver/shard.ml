@@ -45,10 +45,6 @@ let plan ?fuel workload input ~shards =
       Sliced { prog; windows = (if windows = [] then [ (0, max_int) ] else windows) }
     end
 
-let plan_size = function
-  | Chunked progs -> List.length progs
-  | Sliced { windows; _ } -> List.length windows
-
 (* Run every shard of [plan] across [jobs] domains and merge in shard
    order. The pool returns results in submission order whatever the
    scheduling, so the merge input — hence the profile — is deterministic. *)

@@ -32,9 +32,6 @@ type plan =
     with no pre-run. *)
 val plan : ?fuel:int -> Workload.t -> Workload.input -> shards:int -> plan
 
-(** Number of shards the plan will run. *)
-val plan_size : plan -> int
-
 (** Run every shard of a plan across [jobs] domains and merge in shard
     order. Emits a [driver.shard] span per shard and counts them under
     [driver.shards]. *)

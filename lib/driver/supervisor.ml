@@ -25,8 +25,6 @@ let classify = function
   | Fault.Injected site -> Injected site
   | Budget.Deadline_exceeded s -> Deadline s
   | Budget.Mem_pressure words -> Mem_pressure words
-  | Budget.Disk_over_budget bytes ->
-    Io (Printf.sprintf "checkpoint disk budget exceeded (%d bytes)" bytes)
   | Sys_error msg -> Io msg
   | e -> Crash (Printexc.to_string e)
 

@@ -1,8 +1,8 @@
 (* E14 — profiling overhead, measured in analysis events (the quantity
    that dominated ATOM's slowdown): dynamic instructions, events under
    full profiling, events under the convergent sampler, and the
-   reduction. Wall-clock overhead of the OCaml profiler itself is in
-   bench/main.ml (Bechamel). *)
+   reduction. Wall-clock overhead of the OCaml profiler itself is
+   measured layer by layer by the benchmark's ladder (ledger/). *)
 
 let run () =
   let table =

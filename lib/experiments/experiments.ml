@@ -78,8 +78,6 @@ let render spec tables =
     tables;
   Buffer.contents buf
 
-let print_one spec = print_string (render spec (spec.run ()))
-
 type failure = {
   f_spec : spec;
   f_attempts : int;

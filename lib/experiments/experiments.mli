@@ -14,13 +14,10 @@ val all : spec list
 (** Raises [Not_found] for unknown ids. *)
 val find : string -> spec
 
-(** Run one experiment and print its tables to stdout. *)
-val print_one : spec -> unit
-
 (** An experiment's printable form: the [== id: title [ref] ==] banner
-    followed by each rendered table and a blank line — exactly the bytes
-    {!print_one} emits for it, so stored payloads splice back
-    byte-identically. *)
+    followed by each rendered table and a blank line. {!run_strings}
+    yields these bytes whether it computes an experiment or serves it
+    from the store, so stored payloads splice back byte-identically. *)
 val render : spec -> Table.t list -> string
 
 (** An experiment that failed even after the supervisor's retries. *)

@@ -25,7 +25,7 @@ type entry = {
 }
 
 let cache : (string * Workload.input, entry) Memo_cache.t =
-  Memo_cache.create ~size:32 ()
+  Memo_cache.create ()
 
 let entry (w : Workload.t) input =
   Memo_cache.find_or_compute cache (w.wname, input) (fun () ->
@@ -81,7 +81,7 @@ let stored_profile (w : Workload.t) input ~shards compute =
    result merges: the serial profile, the plain machine state and the
    procedure profile all come from the fused single execution. *)
 let profiles : (string * Workload.input * int, Profile.t) Memo_cache.t =
-  Memo_cache.create ~size:32 ()
+  Memo_cache.create ()
 
 let sharded_profile ?jobs (w : Workload.t) input ~shards =
   let shards = max 1 shards in

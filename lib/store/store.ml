@@ -461,9 +461,6 @@ let put t ~key ~payload =
       (match t.s_backend with
        | Memory -> ()
        | Dir dir ->
-         (* the disk guard charges before writing, so a governed run stops
-            committing the moment the budget is blown *)
-         Budget.charge_disk ~bytes:(String.length payload);
          (* intent first: a crash anywhere past this line is replayed or
             rolled back on the next open from the journal record *)
          Journal.append_intent ~dir

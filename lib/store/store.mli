@@ -63,8 +63,7 @@
     {b Telemetry.} [store.hits]/[store.misses]/[store.bytes_written]
     counters and [store.get]/[store.commit]/[store.verify]/[store.scrub]
     spans in {!Obs}; a decode failure in {!get_profile} counts
-    [store.decode_failures]. Directory commits are charged to the
-    {!Budget} disk guard. {!put} carries the ["store.commit"] and
+    [store.decode_failures]. {!put} carries the ["store.commit"] and
     ["store.payload.write"] fault sites, loading the ["checkpoint.load"]
     site, journal appends the ["journal.append"] site — the spots chaos
     campaigns kill.

@@ -1,19 +1,13 @@
 type limits = {
   deadline : float option;
   max_heap_words : int option;
-  max_checkpoint_bytes : int option;
   degrade : bool;
 }
 
-let no_limits =
-  { deadline = None;
-    max_heap_words = None;
-    max_checkpoint_bytes = None;
-    degrade = false }
+let no_limits = { deadline = None; max_heap_words = None; degrade = false }
 
 exception Deadline_exceeded of float
 exception Mem_pressure of int
-exception Disk_over_budget of int
 
 type notice =
   | Degrade_step of int
@@ -33,7 +27,6 @@ let armed_flag = Atomic.make false
 let mu = Mutex.create ()
 let current : (limits * float) option ref = ref None
 let level = Atomic.make 0
-let disk_bytes = Atomic.make 0
 
 type callback = {
   cb_id : int;
@@ -58,7 +51,6 @@ let arm limits =
   end;
   current := Some (limits, Unix.gettimeofday ());
   Atomic.set level 0;
-  Atomic.set disk_bytes 0;
   Atomic.set armed_flag true;
   Mutex.unlock mu
 
@@ -67,7 +59,6 @@ let disarm () =
   Atomic.set armed_flag false;
   current := None;
   Atomic.set level 0;
-  Atomic.set disk_bytes 0;
   Mutex.unlock mu
 
 let govern limits f =
@@ -157,14 +148,6 @@ let check (limits, start) =
 let poll () =
   if Atomic.get armed_flag then
     match !current with Some c -> check c | None -> ()
-
-let charge_disk ~bytes =
-  if Atomic.get armed_flag then
-    match !current with
-    | Some ({ max_checkpoint_bytes = Some m; _ }, _) ->
-      let total = Atomic.fetch_and_add disk_bytes bytes + bytes in
-      if total > m then raise (Disk_over_budget total)
-    | _ -> ()
 
 module Testing = struct
   let set_level l = Atomic.set level (max 0 (min l max_degrade_level))

@@ -1,5 +1,5 @@
-(** Resource governance: wall-clock deadlines, heap watermarks, a
-    checkpoint-disk guard, and a graceful-degradation ladder.
+(** Resource governance: wall-clock deadlines, heap watermarks, and a
+    graceful-degradation ladder.
 
     The paper's premise is that value profiling must stay cheap enough to
     run inside real pipelines; a profiler that can blow its time or memory
@@ -37,9 +37,6 @@ type limits = {
           {!Deadline_exceeded} past it. *)
   max_heap_words : int option;
       (** Heap watermark compared against [Gc.quick_stat ()].[heap_words]. *)
-  max_checkpoint_bytes : int option;
-      (** Cumulative checkpoint payload bytes; {!charge_disk} raises
-          {!Disk_over_budget} past it. *)
   degrade : bool;
       (** [true]: heap pressure sheds precision (degradation steps)
           instead of raising {!Mem_pressure}. *)
@@ -57,10 +54,6 @@ exception Deadline_exceeded of float
     carries the observed heap words. *)
 exception Mem_pressure of int
 
-(** Raised by {!charge_disk} when cumulative checkpoint bytes exceed the
-    armed budget; carries the total. *)
-exception Disk_over_budget of int
-
 (** [true] iff limits are armed. Hot loops read this once and skip their
     {!poll} entirely when it is [false]. *)
 val armed : unit -> bool
@@ -69,7 +62,7 @@ val armed : unit -> bool
     if already armed (governed sections do not nest). *)
 val arm : limits -> unit
 
-(** Disarm, reset the degradation level to 0 and the disk charge to 0. *)
+(** Disarm and reset the degradation level to 0. *)
 val disarm : unit -> unit
 
 (** [govern limits f] runs [f] armed, disarming on the way out
@@ -94,11 +87,6 @@ val max_degrade_level : int
 
 (** Seconds since {!arm} ([0.] when disarmed) — for diagnostics. *)
 val elapsed : unit -> float
-
-(** [charge_disk ~bytes] adds [bytes] to the cumulative checkpoint charge
-    and raises {!Disk_over_budget} if armed with a disk budget and the
-    total exceeds it. No-op when disarmed or unlimited. *)
-val charge_disk : bytes:int -> unit
 
 (** [on_degrade f] registers [f] to be called with the new level on each
     degradation step. Delivery happens on the registering domain only —

@@ -1,6 +1,6 @@
 (* Resource governance: arming discipline, deadline and heap-watermark
-   enforcement, the degradation ladder with its callbacks, the disk
-   guard, and cooperative termination out of a governed machine run. *)
+   enforcement, the degradation ladder with its callbacks, and
+   cooperative termination out of a governed machine run. *)
 
 open Isa
 
@@ -22,7 +22,6 @@ let loop_program n =
 let test_disarmed_noop () =
   Alcotest.(check bool) "disarmed" false (Budget.armed ());
   Budget.poll ();
-  Budget.charge_disk ~bytes:1_000_000;
   Alcotest.(check int) "level stays 0" 0 (Budget.degrade_level ())
 
 let test_govern_arms_and_disarms () =
@@ -98,19 +97,6 @@ let test_degrade_ladder_saturates () =
       Alcotest.(check int) "disarm resets the level" 0
         (Budget.degrade_level ()))
 
-let test_disk_guard () =
-  governed (fun () ->
-      match
-        Budget.govern
-          { Budget.no_limits with max_checkpoint_bytes = Some 100 }
-          (fun () ->
-            Budget.charge_disk ~bytes:60;
-            Budget.charge_disk ~bytes:60)
-      with
-      | () -> Alcotest.fail "expected Disk_over_budget"
-      | exception Budget.Disk_over_budget total ->
-        Alcotest.(check int) "carries the cumulative total" 120 total)
-
 let test_on_degrade_callbacks () =
   governed (fun () ->
       Budget.govern Budget.no_limits (fun () ->
@@ -159,7 +145,6 @@ let suite =
       test_mem_pressure_raises_without_degrade;
     Alcotest.test_case "degradation ladder saturates" `Quick
       test_degrade_ladder_saturates;
-    Alcotest.test_case "disk guard" `Quick test_disk_guard;
     Alcotest.test_case "on_degrade callbacks" `Quick test_on_degrade_callbacks;
     Alcotest.test_case "lazy callback delivery" `Quick
       test_callback_lazy_delivery;

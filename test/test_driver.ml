@@ -132,31 +132,6 @@ let test_memo_clear () =
   Alcotest.(check int) "recomputes after clear" 2
     (Memo_cache.find_or_compute cache "k" (fun () -> 2))
 
-let test_memo_bound_evicts_lru () =
-  let cache : (int, int) Memo_cache.t = Memo_cache.create ~max_entries:2 () in
-  let e0 =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evictions")
-  in
-  ignore (Memo_cache.find_or_compute cache 1 (fun () -> 10));
-  ignore (Memo_cache.find_or_compute cache 2 (fun () -> 20));
-  (* touch 1 so 2 is the least recently used when 3 arrives *)
-  ignore (Memo_cache.find_or_compute cache 1 (fun () -> Alcotest.fail "hit"));
-  ignore (Memo_cache.find_or_compute cache 3 (fun () -> 30));
-  Alcotest.(check int) "one eviction counted" (e0 + 1)
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evictions"));
-  (* the recently-used entry survived, the stale one recomputes *)
-  Alcotest.(check int) "recently-used survives" 10
-    (Memo_cache.find_or_compute cache 1 (fun () -> Alcotest.fail "hit"));
-  Alcotest.(check int) "evicted key recomputes" 21
-    (Memo_cache.find_or_compute cache 2 (fun () -> 21));
-  Alcotest.(check int) "computations counted" 4
-    (Memo_cache.computations cache)
-
-let test_memo_bound_rejects_nonpositive () =
-  match Memo_cache.create ~max_entries:0 () with
-  | (_ : (int, int) Memo_cache.t) -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
 let test_memo_unbounded_never_evicts () =
   let cache : (int, int) Memo_cache.t = Memo_cache.create () in
   for k = 1 to 100 do
@@ -345,10 +320,6 @@ let suite =
     Alcotest.test_case "memo failure not cached" `Quick
       test_memo_failure_not_cached;
     Alcotest.test_case "memo clear" `Quick test_memo_clear;
-    Alcotest.test_case "memo bound evicts lru" `Quick
-      test_memo_bound_evicts_lru;
-    Alcotest.test_case "memo bound rejects nonpositive" `Quick
-      test_memo_bound_rejects_nonpositive;
     Alcotest.test_case "memo unbounded never evicts" `Quick
       test_memo_unbounded_never_evicts;
     Alcotest.test_case "profiler adapters match direct runs" `Slow

@@ -63,37 +63,54 @@ let test_file_roundtrip () =
       Alcotest.(check int) "points" (Array.length p.Profile.points)
         (Array.length p'.Profile.points))
 
-let expect_failure name text =
+(* A v2 file from its body: the body plus the [crc32] trailer over it, so
+   the fixtures below pass the checksum and fail only on their defect. *)
+let with_trailer body =
+  body ^ Printf.sprintf "crc32 %s\n" (Crc32.to_hex (Crc32.string body))
+
+(* The load must fail, and its message must name [defect]: a fixture that
+   fails on its version or checksum instead does not count. *)
+let expect_failure ~defect text =
   let prog = program () in
   match Profile_io.of_string ~program:prog text with
-  | _ -> Alcotest.failf "%s: expected Failure" name
-  | exception Failure _ -> ()
+  | _ -> Alcotest.failf "%s: expected Failure" defect
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %S" msg defect)
+      true
+      (Astring_contains.contains msg defect)
 
 let test_rejects_bad_version () =
-  expect_failure "version" "vprof-profile 99\nmeta instrumented=0 events=0 dynamic=0\n"
+  expect_failure ~defect:"unsupported version 99"
+    (with_trailer "vprof-profile 99\nmeta instrumented=0 events=0 dynamic=0\n")
 
 let test_rejects_missing_meta () =
-  expect_failure "no meta" "vprof-profile 1\n"
+  expect_failure ~defect:"missing meta" (with_trailer "vprof-profile 2\n")
 
 let test_rejects_bad_pc () =
-  expect_failure "pc out of range"
-    "vprof-profile 1\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n"
+  expect_failure ~defect:"pc 999 outside the program"
+    (with_trailer
+       "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n")
 
 let test_rejects_non_value_pc () =
   (* the final halt produces no value *)
   let prog = program () in
   let halt_pc = Array.length prog.Asm.code - 1 in
-  expect_failure "non-value pc"
-    (Printf.sprintf
-       "vprof-profile 1\nmeta instrumented=1 events=1 dynamic=1\npoint pc=%d proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n"
-       halt_pc)
+  expect_failure ~defect:"not a value-producing instruction"
+    (with_trailer
+       (Printf.sprintf
+          "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=%d proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n"
+          halt_pc))
 
 let test_rejects_orphan_tv () =
-  expect_failure "tv before point"
-    "vprof-profile 1\nmeta instrumented=0 events=0 dynamic=0\ntv 1 2\n"
+  expect_failure ~defect:"tv line before any point"
+    (with_trailer
+       "vprof-profile 2\nmeta instrumented=0 events=0 dynamic=0\ntv 1 2\n")
 
 let test_rejects_garbage () =
-  expect_failure "garbage" "vprof-profile 1\nmeta instrumented=0 events=0 dynamic=0\nwibble\n"
+  expect_failure ~defect:"unknown line tag \"wibble\""
+    (with_trailer
+       "vprof-profile 2\nmeta instrumented=0 events=0 dynamic=0\nwibble\n")
 
 let test_roundtrip_real_workload () =
   (* not just the synthetic loop: a full built-in workload's profile must
@@ -112,7 +129,8 @@ let test_bad_pc_failure_cites_line () =
   let prog = program () in
   match
     Profile_io.of_string ~program:prog
-      "vprof-profile 1\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n"
+      (with_trailer
+         "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n")
   with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
@@ -132,13 +150,10 @@ let find_sub s sub =
   in
   go 0
 
-(* Strip the crc trailer and claim version 1: exactly what a pre-v2
-   writer produced. *)
-let v1_of_v2 s =
+(* A v2 text without its crc trailer line. *)
+let body_of_v2 s =
   let body_end = String.rindex_from s (String.length s - 2) '\n' + 1 in
-  let body = String.sub s 0 body_end in
-  let header_end = String.index body '\n' in
-  "vprof-profile 1" ^ String.sub body header_end (String.length body - header_end)
+  String.sub s 0 body_end
 
 (* Rewrite the first [" key=<token>"] occurrence, length-changing allowed. *)
 let mutate_field text key value =
@@ -226,20 +241,22 @@ let prop_salvage_any_truncation =
         r.Profile.points;
       strict_fails && !prefix_ok)
 
-let test_v1_still_loads () =
-  let prog = program () in
-  let p = Profile.run prog in
-  let s = Profile_io.to_string p in
-  let p' = Profile_io.of_string ~program:prog (v1_of_v2 s) in
-  Alcotest.(check int) "points" (Array.length p.Profile.points)
-    (Array.length p'.Profile.points);
-  Alcotest.(check string) "re-serializes to v2, byte-identical" s
-    (Profile_io.to_string p')
+let test_v1_rejected () =
+  (* what a pre-v2 writer produced: the same body claiming version 1,
+     with no trailer *)
+  let body = body_of_v2 (Profile_io.to_string (Profile.run (program ()))) in
+  let header_end = String.index body '\n' in
+  expect_failure ~defect:"unsupported version 1"
+    ("vprof-profile 1"
+    ^ String.sub body header_end (String.length body - header_end))
 
 let test_rejects_negative_total () =
   let prog = program () in
-  let v1 = v1_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match Profile_io.of_string ~program:prog (mutate_field v1 "total" "-5") with
+  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
+  match
+    Profile_io.of_string ~program:prog
+      (with_trailer (mutate_field body "total" "-5"))
+  with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
     Alcotest.(check bool) "names the field" true
@@ -249,8 +266,11 @@ let test_rejects_negative_total () =
 
 let test_rejects_negative_meta_count () =
   let prog = program () in
-  let v1 = v1_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match Profile_io.of_string ~program:prog (mutate_field v1 "dynamic" "-1") with
+  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
+  match
+    Profile_io.of_string ~program:prog
+      (with_trailer (mutate_field body "dynamic" "-1"))
+  with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
     Alcotest.(check bool) "names the field" true
@@ -260,8 +280,11 @@ let test_rejects_negative_meta_count () =
 
 let test_rejects_nan_metric () =
   let prog = program () in
-  let v1 = v1_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match Profile_io.of_string ~program:prog (mutate_field v1 "lvp" "nan") with
+  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
+  match
+    Profile_io.of_string ~program:prog
+      (with_trailer (mutate_field body "lvp" "nan"))
+  with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
     Alcotest.(check bool) "names the NaN" true
@@ -271,10 +294,10 @@ let test_rejects_nan_metric () =
 
 let test_rejects_negative_tv_count () =
   let prog = program () in
-  let v1 = v1_of_v2 (Profile_io.to_string (Profile.run prog)) in
+  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
   let lineno = ref 0 in
   let mutated =
-    String.split_on_char '\n' v1
+    String.split_on_char '\n' body
     |> List.mapi (fun i l ->
            if !lineno = 0 && String.length l > 3 && String.sub l 0 3 = "tv "
            then begin
@@ -284,7 +307,7 @@ let test_rejects_negative_tv_count () =
              | _ -> l
            end
            else l)
-    |> String.concat "\n"
+    |> String.concat "\n" |> with_trailer
   in
   Alcotest.(check bool) "profile has a tv line" true (!lineno > 0);
   match Profile_io.of_string ~program:prog mutated with
@@ -295,35 +318,11 @@ let test_rejects_negative_tv_count () =
     Alcotest.(check bool) "cites the line" true
       (Astring_contains.contains msg (Printf.sprintf "line %d" !lineno))
 
-let test_truncated_v1_failure_cites_line () =
-  (* v1 has no checksum, so truncation must still surface as a
-     line-numbered parse error *)
-  let w = Workloads.find "go" in
-  let prog = w.Workload.wbuild Workload.Test in
-  let s = v1_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  let last_index_of sub =
-    let sl = String.length sub in
-    let rec go i best =
-      if i + sl > String.length s then best
-      else go (i + 1) (if String.sub s i sl = sub then i else best)
-    in
-    go 0 (-1)
-  in
-  let pos = last_index_of " lvp=" in
-  Alcotest.(check bool) "profile has a point line" true (pos > 0);
-  let cut = String.sub s 0 pos in
-  let line =
-    1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 cut
-  in
-  match Profile_io.of_string ~program:prog cut with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "cites line %d" line)
-      true
-      (Astring_contains.contains msg (Printf.sprintf "line %d" line));
-    Alcotest.(check bool) "reports the missing field" true
-      (Astring_contains.contains msg "missing field")
+let test_missing_trailer_named () =
+  (* a v2 body cut exactly before its trailer: every line parses, so only
+     the missing checksum line can reject it *)
+  let body = body_of_v2 (Profile_io.to_string (Profile.run (program ()))) in
+  expect_failure ~defect:"no trailing crc32 line" body
 
 let test_injected_torn_write_salvageable () =
   let prog = program () in
@@ -549,7 +548,7 @@ let suite =
     Alcotest.test_case "truncation detected, salvageable" `Quick
       test_truncation_detected_and_salvageable;
     QCheck_alcotest.to_alcotest prop_salvage_any_truncation;
-    Alcotest.test_case "v1 files still load" `Quick test_v1_still_loads;
+    Alcotest.test_case "v1 files rejected" `Quick test_v1_rejected;
     Alcotest.test_case "rejects negative total" `Quick
       test_rejects_negative_total;
     Alcotest.test_case "rejects negative meta count" `Quick
@@ -557,8 +556,8 @@ let suite =
     Alcotest.test_case "rejects NaN metric" `Quick test_rejects_nan_metric;
     Alcotest.test_case "rejects negative tv count" `Quick
       test_rejects_negative_tv_count;
-    Alcotest.test_case "truncated v1 failure cites its line" `Quick
-      test_truncated_v1_failure_cites_line;
+    Alcotest.test_case "v2 body without crc32 trailer rejected" `Quick
+      test_missing_trailer_named;
     Alcotest.test_case "injected torn write is salvageable" `Quick
       test_injected_torn_write_salvageable;
     Alcotest.test_case "atomic write leaves no temp files" `Quick
