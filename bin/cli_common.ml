@@ -42,6 +42,30 @@ let input_conv =
   let print ppf i = Format.pp_print_string ppf (Workload.string_of_input i) in
   Arg.conv (parse, print)
 
+(* Range-checked numbers: an out-of-range value is a usage error that
+   cmdliner reports against its flag (exit 2), instead of an
+   [Invalid_argument] from deep in a run or a value silently misread. *)
+let checked_conv ~of_string ~pp ~expected ok =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int =
+  checked_conv ~of_string:int_of_string_opt ~pp:Format.pp_print_int
+    ~expected:"a positive integer" (fun n -> n > 0)
+
+let non_negative_int =
+  checked_conv ~of_string:int_of_string_opt ~pp:Format.pp_print_int
+    ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+let finite_non_negative_float =
+  checked_conv ~of_string:float_of_string_opt ~pp:Format.pp_print_float
+    ~expected:"a finite non-negative number"
+    (fun x -> Float.is_finite x && x >= 0.)
+
 let workload_arg =
   Arg.(
     required

@@ -88,12 +88,12 @@ let emit_cmd =
 
 let tnv_size_arg =
   Arg.(
-    value & opt int Vstate.default_config.tnv_capacity
+    value & opt positive_int Vstate.default_config.tnv_capacity
     & info [ "tnv-size" ] ~docv:"N" ~doc:"TNV table capacity.")
 
 let clear_interval_arg =
   Arg.(
-    value & opt int Vstate.default_config.clear_interval
+    value & opt positive_int Vstate.default_config.clear_interval
     & info [ "clear-interval" ] ~docv:"N"
         ~doc:"TNV clearing period (profiled occurrences).")
 
@@ -357,15 +357,15 @@ let registers_cmd =
 
 let sample_cmd =
   let burst =
-    Arg.(value & opt int Sampler.default_config.burst
+    Arg.(value & opt positive_int Sampler.default_config.burst
          & info [ "burst" ] ~docv:"N" ~doc:"Executions profiled per burst.")
   in
   let skip =
-    Arg.(value & opt int Sampler.default_config.initial_skip
+    Arg.(value & opt non_negative_int Sampler.default_config.initial_skip
          & info [ "skip" ] ~docv:"N" ~doc:"Executions skipped between bursts.")
   in
   let epsilon =
-    Arg.(value & opt float Sampler.default_config.epsilon
+    Arg.(value & opt finite_non_negative_float Sampler.default_config.epsilon
          & info [ "epsilon" ] ~docv:"E" ~doc:"Convergence threshold.")
   in
   let run (w : Workload.t) input burst skip epsilon fuel jobs stats trace

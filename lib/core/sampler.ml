@@ -14,17 +14,17 @@ let default_config =
   { burst = 50; initial_skip = 200; epsilon = 0.02; consecutive = 3;
     backoff = 4.; max_skip = 100_000; criterion = Inv_delta }
 
+(* A point's burst machinery. It sees only the executions it profiles:
+   the machine withholds the gap between bursts (see [observe]). *)
 type state = {
   vs : Vstate.t;
   cfg : config;
-  mutable in_burst : int; (* executions left in the current burst; 0 = skipping *)
-  mutable to_skip : int;
+  mutable in_burst : int; (* executions left in the current burst *)
   mutable skip : int; (* current inter-burst gap *)
   mutable prev_inv : float;
   mutable prev_top : int64 option;
   mutable streak : int;
   mutable converged : bool;
-  mutable events : int;
   mutable profiled : int;
   (* Budget degradation level already folded into [skip]; the (cold)
      burst boundary applies each new level exactly once. *)
@@ -35,13 +35,11 @@ let make_state cfg vconfig =
   { vs = Vstate.create ?config:vconfig ();
     cfg;
     in_burst = cfg.burst;
-    to_skip = 0;
     skip = cfg.initial_skip;
     prev_inv = -1.; (* sentinel: first burst never counts as converged *)
     prev_top = None;
     streak = 0;
     converged = false;
-    events = 0;
     profiled = 0;
     degrade_applied = 0 }
 
@@ -107,18 +105,19 @@ let end_of_burst st =
   end;
   st.prev_inv <- inv;
   st.prev_top <- top;
-  st.to_skip <- st.skip;
-  st.in_burst <- 0
+  st.in_burst <- st.cfg.burst
 
+(* The point's gated hook: profile one execution and answer how many of
+   the following ones to skip — 0 inside a burst, the gap at its end.
+   The machine withholds the gap, so skipped executions never get here. *)
 let observe st value =
-  st.events <- st.events + 1;
-  if st.to_skip > 0 then st.to_skip <- st.to_skip - 1
+  Vstate.observe st.vs value;
+  st.profiled <- st.profiled + 1;
+  st.in_burst <- st.in_burst - 1;
+  if st.in_burst > 0 then 0
   else begin
-    if st.in_burst = 0 then st.in_burst <- st.cfg.burst;
-    Vstate.observe st.vs value;
-    st.profiled <- st.profiled + 1;
-    st.in_burst <- st.in_burst - 1;
-    if st.in_burst = 0 then end_of_burst st
+    end_of_burst st;
+    st.skip
   end
 
 type point = {
@@ -141,31 +140,35 @@ type t = {
 
 type live = {
   machine : Machine.t;
-  states : (int * state) list;
+  states : (int * state * Machine.gate) list;
   started : float;
 }
 
 let attach ?(config = default_config) ?vconfig machine selection =
   if config.burst <= 0 then invalid_arg "Sampler: burst must be positive";
   if config.backoff < 1. then invalid_arg "Sampler: backoff must be >= 1";
+  if config.initial_skip < 0 || config.max_skip < 0 then
+    invalid_arg "Sampler: skips must be >= 0";
   let prog = Machine.program machine in
   let pcs = Atom.select prog selection in
-  let states = List.map (fun pc -> (pc, make_state config vconfig)) pcs in
-  List.iter
-    (fun (pc, st) ->
-      Machine.add_hook machine pc (fun value _addr -> observe st value))
-    states;
+  let states =
+    List.map
+      (fun pc ->
+        let st = make_state config vconfig in
+        (pc, st, Machine.add_gated_hook machine pc (fun value _addr -> observe st value)))
+      pcs
+  in
   { machine; states; started = Counters.now () }
 
 let collect live =
   let prog = Machine.program live.machine in
   let points =
     List.map
-      (fun (pc, st) ->
+      (fun (pc, st, gate) ->
         { s_pc = pc;
           s_instr = prog.Asm.code.(pc);
           s_metrics = Vstate.metrics st.vs;
-          s_events = st.events;
+          s_events = Machine.gate_executions live.machine gate;
           s_profiled = st.profiled;
           s_converged = st.converged })
       live.states
@@ -177,7 +180,7 @@ let collect live =
   stats.Counters.events_seen <- total_events;
   stats.Counters.events_profiled <- profiled_events;
   List.iter
-    (fun (_, st) ->
+    (fun (_, st, _) ->
       stats.Counters.tnv_clears <-
         stats.Counters.tnv_clears + Vstate.tnv_clears st.vs;
       stats.Counters.tnv_replacements <-
@@ -305,11 +308,13 @@ module Testing = struct
   let observe = observe
   let current_skip st = st.skip
   let is_converged st = st.converged
+  let profiled st = st.profiled
+  let metrics st = Vstate.metrics st.vs
 
-  (* Feed exactly one skip-then-burst cycle of [v]s, ending right after
-     [end_of_burst] ran. *)
+  (* Feed the rest of the current burst of [v]s, ending right after
+     [end_of_burst] ran; the gap it returns is the machine's to skip. *)
   let run_cycle st v =
-    for _ = 1 to st.to_skip + st.cfg.burst do
-      observe st v
+    for _ = 1 to st.in_burst do
+      ignore (observe st v)
     done
 end

@@ -11,7 +11,17 @@
     behaviour shifts.
 
     Overhead is reported as the fraction of dynamic events actually
-    profiled; accuracy as the invariance error against a full profile. *)
+    profiled; accuracy as the invariance error against a full profile.
+
+    Where the skip lives: each point subscribes a gated hook
+    ({!Machine.add_gated_hook}) that profiles the executions it is
+    given and, at the end of each burst, returns the gap. The machine
+    withholds those executions from this sampler alone — they cost the
+    executor one compare, not a hook call — so the profiler keeps no
+    skip countdown and no per-event counter. A point's [s_events] is read
+    off the machine instead ({!Machine.gate_executions}): its pc's
+    executions while the sampler was attached, up to a {!Machine.detach}
+    that sheds it mid-run. *)
 
 (** What "the profile stopped changing" means. The thesis used the change
     in invariance; the alternative tracks the identity of the top value —
@@ -38,7 +48,9 @@ type point = {
   s_pc : int;
   s_instr : Isa.instr;
   s_metrics : Metrics.t;  (** metrics over the sampled subset *)
-  s_events : int;  (** dynamic events seen (profiled + skipped) *)
+  s_events : int;
+      (** executions of the point while the sampler was attached
+          (profiled + skipped) *)
   s_profiled : int;  (** events actually recorded *)
   s_converged : bool;
 }
@@ -54,6 +66,8 @@ type t = {
 
 type live
 
+(** Raises [Invalid_argument] when [burst] is not positive, [backoff] is
+    below 1, or [initial_skip] or [max_skip] is negative. *)
 val attach : ?config:config -> ?vconfig:Vstate.config -> Machine.t -> Atom.selection -> live
 
 val collect : live -> t
@@ -102,15 +116,23 @@ module Testing : sig
 
   val make_state : config -> state
 
-  (** Feed one dynamic event. *)
-  val observe : state -> int64 -> unit
+  (** Feed one profiled event, as the point's gated hook: returns how
+      many following executions to skip (0 inside a burst, the gap at its
+      end). *)
+  val observe : state -> int64 -> int
 
-  (** Feed exactly one skip-then-burst cycle of the given value, ending
-      right after the end-of-burst convergence check. *)
+  (** Feed the rest of the current burst of the given value, ending right
+      after the end-of-burst convergence check. The gap that follows is
+      the machine's to skip, so no skipped event is fed. *)
   val run_cycle : state -> int64 -> unit
 
   (** The current inter-burst gap. *)
   val current_skip : state -> int
 
   val is_converged : state -> bool
+
+  (** Events profiled so far, and their metrics. *)
+  val profiled : state -> int
+
+  val metrics : state -> Metrics.t
 end

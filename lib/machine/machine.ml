@@ -15,6 +15,31 @@ let string_of_trap = function
   | Negative_address pc -> Printf.sprintf "negative address at pc %d" pc
 
 type hook = int64 -> int64 -> unit
+type gated = int64 -> int64 -> int
+
+(* One gated subscription at [g_pc]. The execution that brings the pc's
+   exec count to [due] or past it is delivered; the ones before it are
+   withheld. [opened] and [closed] account for the pc's executions while
+   the gate is subscribed: the open span started at count [opened], and
+   [closed] sums the spans already closed (by [reset], [detach] or a
+   clear). *)
+type gate = {
+  g_pc : int;
+  g_hook : gated;
+  mutable due : int;
+  mutable opened : int;
+  mutable closed : int;
+  mutable live : bool;
+}
+
+(* A per-pc subscriber, kept in attach order. *)
+type subscriber = Plain of hook | Gated of gate
+
+(* What the executor loads at a pc. A dispatcher's [due] folds its gates'
+   thresholds in: 0 while any plain subscriber listens, so a plain hook
+   pays one compare, and otherwise the earliest exec count any gate
+   wants, so an execution no gate wants stops at that compare. *)
+type dispatch = Unhooked | Dispatch of { mutable due : int; fire : hook }
 
 let stack_base = 0x7F0_0000L
 let max_call_depth = 100_000
@@ -137,11 +162,9 @@ type t = {
   args : int array;
   imms : Bytes.t;
   ncode : int;
-  (* Set by [run] for its loop: which per-step checks are armed (a set of
-     [check_*] bits, 0 on a fault-free, ungoverned run) and the fuel the
-     run was granted. *)
-  mutable checks : int;
-  mutable fuel : int;
+  (* Set by [run] for its loop: whether every step passes the
+     ["machine.step"] fault-injection site. *)
+  mutable step_fault : bool;
   regs : Bytes.t;
   mem : Memory.t;
   mutable pc : int;
@@ -155,16 +178,17 @@ type t = {
   mutable ret_procs : int array;
   mutable depth : int;
   proc_of : int array; (* pc -> proc index, -1 outside any proc *)
-  (* What the interpreter dispatches through: at most one closure per
-     point, so the hot path is the same single load + option test whether
-     a point has zero, one, or many observers. With several observers the
-     closure is a pre-built fan-out over a flat array (see [add_sub]). *)
-  hooks : hook option array;
+  (* What the interpreter dispatches through: at most one dispatcher per
+     point, so the hot path is the same single load + constructor test
+     whether a point has zero, one, or many observers (see
+     [rebuild_hook]). *)
+  hooks : dispatch array;
   entry_hooks : (t -> unit) option array;
   return_hooks : (t -> int64 -> unit) option array;
-  (* The actual subscriber lists (attach order), kept cold: only [add_*]
-     and [hook_count] read them. *)
-  hook_subs : hook list array;
+  (* The actual subscriber lists (attach order), kept cold: only the
+     subscription functions, [reset] and delivered gated events read
+     them. *)
+  hook_subs : subscriber list array;
   entry_subs : (t -> unit) list array;
   return_subs : (t -> int64 -> unit) list array;
   (* Open recording frame: while [Some], every subscription is also
@@ -175,6 +199,7 @@ type t = {
 
 and sub =
   | S_hook of int * hook
+  | S_gate of gate
   | S_entry of int * (t -> unit)
   | S_return of int * (t -> int64 -> unit)
 
@@ -205,8 +230,7 @@ let create prog =
       args;
       imms;
       ncode = Array.length prog.code;
-      checks = 0;
-      fuel = 0;
+      step_fault = false;
       regs = Bytes.create reg_bytes;
       mem = Memory.create ();
       pc = prog.entry;
@@ -217,7 +241,7 @@ let create prog =
       ret_procs = Array.make initial_call_stack 0;
       depth = 0;
       proc_of = build_proc_of prog;
-      hooks = Array.make (Array.length prog.code) None;
+      hooks = Array.make (Array.length prog.code) Unhooked;
       entry_hooks = Array.make (Array.length prog.procs) None;
       return_hooks = Array.make (Array.length prog.procs) None;
       hook_subs = Array.make (Array.length prog.code) [];
@@ -228,16 +252,6 @@ let create prog =
   init_regs t.regs;
   load_data t;
   t
-
-let reset t =
-  init_regs t.regs;
-  Memory.clear t.mem;
-  load_data t;
-  t.pc <- t.prog.entry;
-  t.halted <- false;
-  t.icount <- 0;
-  Array.fill t.exec_counts 0 (Array.length t.exec_counts) 0;
-  t.depth <- 0
 
 let program t = t.prog
 
@@ -260,45 +274,135 @@ let call_depth t = t.depth
 
 let caller_pc t = if t.depth = 0 then None else Some (t.ret_pcs.(t.depth - 1) - 1)
 
-(* Additive subscription. The first observer at a point is installed
+(* Additive subscription. A lone plain observer at a point is installed
    directly, so a singly-instrumented point dispatches straight to the
-   profiler's closure — zero cost over the pre-fan-out machine. When a
-   second (or later) observer attaches, the dispatcher is rebuilt as a
-   loop over a flat array of the subscribers in attach order; the array
-   is built here, at attach time, so firing never allocates. *)
+   profiler's closure after one compare. Otherwise the dispatcher loops
+   over a flat array of the subscribers in attach order, each gate behind
+   its own threshold; the array is built here, at attach time, so firing
+   never allocates. *)
 
 let record t sub =
   match t.recording with
   | None -> ()
   | Some subs -> t.recording <- Some (sub :: subs)
 
-let rebuild_hook t pc =
-  match t.hook_subs.(pc) with
-  | [] -> t.hooks.(pc) <- None
-  | [ h ] -> t.hooks.(pc) <- Some h
-  | hs ->
-    let fs = Array.of_list hs in
-    t.hooks.(pc) <-
-      Some
-        (fun v a ->
-          for i = 0 to Array.length fs - 1 do
-            (Array.unsafe_get fs i) v a
-          done)
+(* The next exec count a gate wants after it took the execution at
+   [count] and asked to skip [skip] more; a count the pc can never reach
+   saturates at [max_int]. *)
+let[@inline] due_after count skip =
+  if skip <= 0 then count + 1
+  else if skip >= max_int - count then max_int
+  else count + 1 + skip
 
-let add_hook t pc h =
-  t.hook_subs.(pc) <- t.hook_subs.(pc) @ [ h ];
-  record t (S_hook (pc, h));
+let rec earliest_due = function
+  | [] -> max_int
+  | Plain _ :: _ -> 0
+  | Gated g :: rest -> min g.due (earliest_due rest)
+
+let refresh_due t pc =
+  match Array.unsafe_get t.hooks pc with
+  | Unhooked -> ()
+  | Dispatch d -> d.due <- earliest_due t.hook_subs.(pc)
+
+(* Deliver to one gate of a point whose dispatcher fired. *)
+let offer t g v a =
+  let count = Array.unsafe_get t.exec_counts g.g_pc in
+  if count >= g.due then g.due <- due_after count (g.g_hook v a)
+
+let rebuild_hook t pc =
+  t.hooks.(pc) <-
+    (match t.hook_subs.(pc) with
+     | [] -> Unhooked
+     | [ Plain h ] -> Dispatch { due = 0; fire = h }
+     | subs ->
+       let fs =
+         Array.of_list
+           (List.map
+              (function Plain h -> h | Gated g -> fun v a -> offer t g v a)
+              subs)
+       in
+       let fan v a =
+         for i = 0 to Array.length fs - 1 do
+           (Array.unsafe_get fs i) v a
+         done
+       in
+       if List.exists (function Plain _ -> true | Gated _ -> false) subs then
+         Dispatch { due = 0; fire = fan }
+       else
+         Dispatch
+           { due = earliest_due subs;
+             fire =
+               (fun v a ->
+                 fan v a;
+                 refresh_due t pc) })
+
+let subscribe t pc s =
+  t.hook_subs.(pc) <- t.hook_subs.(pc) @ [ s ];
   rebuild_hook t pc
 
+let add_hook t pc h =
+  subscribe t pc (Plain h);
+  record t (S_hook (pc, h))
+
+let add_gated_hook t pc h =
+  let g =
+    { g_pc = pc; g_hook = h; due = 0; opened = t.exec_counts.(pc); closed = 0;
+      live = true }
+  in
+  subscribe t pc (Gated g);
+  record t (S_gate g);
+  g
+
+let gate_executions t g =
+  if g.live then g.closed + t.exec_counts.(g.g_pc) - g.opened else g.closed
+
+let close_span t g =
+  g.closed <- gate_executions t g;
+  g.live <- false
+
+let close_gates t subs =
+  List.iter (function Gated g -> close_span t g | Plain _ -> ()) subs
+
 let clear_hook t pc =
-  t.hooks.(pc) <- None;
+  close_gates t t.hook_subs.(pc);
+  t.hooks.(pc) <- Unhooked;
   t.hook_subs.(pc) <- []
 
 let clear_all_hooks t =
-  Array.fill t.hooks 0 (Array.length t.hooks) None;
+  Array.iter (close_gates t) t.hook_subs;
+  Array.fill t.hooks 0 (Array.length t.hooks) Unhooked;
   Array.fill t.hook_subs 0 (Array.length t.hook_subs) []
 
 let hook_count t pc = List.length t.hook_subs.(pc)
+
+(* Zeroing the exec counts closes every gate's span at the old count and
+   rebases its [due] onto the new one, so a gate still withholds exactly
+   the executions it had left. *)
+let rebase_gates t =
+  Array.iteri
+    (fun pc subs ->
+      let count = t.exec_counts.(pc) in
+      List.iter
+        (function
+          | Plain _ -> ()
+          | Gated g ->
+            g.closed <- gate_executions t g;
+            g.opened <- 0;
+            g.due <- g.due - count)
+        subs;
+      refresh_due t pc)
+    t.hook_subs
+
+let reset t =
+  init_regs t.regs;
+  Memory.clear t.mem;
+  load_data t;
+  t.pc <- t.prog.entry;
+  t.halted <- false;
+  t.icount <- 0;
+  rebase_gates t;
+  Array.fill t.exec_counts 0 (Array.length t.exec_counts) 0;
+  t.depth <- 0
 
 let rebuild_entry t i =
   match t.entry_subs.(i) with
@@ -350,14 +454,13 @@ let with_attachment t f =
     t.recording <- None;
     raise e
 
-(* Remove the first physically-equal closure: the same function may be
+(* Remove the first element matching [is]: the same function may be
    subscribed twice (two frames of the same profiler), and only the
    recorded instance must go. *)
-let remove_first_phys x l =
+let remove_first is l =
   let rec go acc = function
     | [] -> List.rev acc
-    | y :: rest ->
-      if y == x then List.rev_append acc rest else go (y :: acc) rest
+    | y :: rest -> if is y then List.rev_append acc rest else go (y :: acc) rest
   in
   go [] l
 
@@ -366,13 +469,23 @@ let detach t subs =
     (fun sub ->
       match sub with
       | S_hook (pc, h) ->
-        t.hook_subs.(pc) <- remove_first_phys h t.hook_subs.(pc);
+        t.hook_subs.(pc) <-
+          remove_first
+            (function Plain h' -> h' == h | Gated _ -> false)
+            t.hook_subs.(pc);
         rebuild_hook t pc
+      | S_gate g ->
+        close_span t g;
+        t.hook_subs.(g.g_pc) <-
+          remove_first
+            (function Gated g' -> g' == g | Plain _ -> false)
+            t.hook_subs.(g.g_pc);
+        rebuild_hook t g.g_pc
       | S_entry (i, h) ->
-        t.entry_subs.(i) <- remove_first_phys h t.entry_subs.(i);
+        t.entry_subs.(i) <- remove_first (( == ) h) t.entry_subs.(i);
         rebuild_entry t i
       | S_return (i, h) ->
-        t.return_subs.(i) <- remove_first_phys h t.return_subs.(i);
+        t.return_subs.(i) <- remove_first (( == ) h) t.return_subs.(i);
         rebuild_return t i)
     subs
 
@@ -407,14 +520,17 @@ let[@inline] leave_proc t v =
     t.pc <- Array.unsafe_get t.ret_pcs d
   end
 
-(* Deliver the per-pc dispatcher. Every arm ends here with the value and
-   address it produced (0L where the instruction has none). Both stay
-   unboxed up to this point: they are boxed inside the [Some] branch only,
-   so a point without subscribers allocates nothing, and a delivered
-   event costs one box per value. [pc] is a real pc here (the sentinel
-   never fires hooks) and [hooks] matches the code array's length. *)
+(* Deliver the per-pc dispatcher. Every arm ends here, after [tick], with
+   the value and address it produced (0L where the instruction has none).
+   Both stay unboxed up to this point: they are boxed inside the call
+   only, so a point without subscribers, or an execution every gate there
+   withholds, allocates nothing, and a delivered event costs one box per
+   value. [pc] is a real pc here (the sentinel never fires hooks) and
+   [hooks] matches the code array's length. *)
 let[@inline] fire t pc v a =
-  match Array.unsafe_get t.hooks pc with None -> () | Some h -> h v a
+  match Array.unsafe_get t.hooks pc with
+  | Unhooked -> ()
+  | Dispatch d -> if Array.unsafe_get t.exec_counts pc >= d.due then d.fire v a
 
 let[@inline] tick t pc =
   Array.unsafe_set t.exec_counts pc (Array.unsafe_get t.exec_counts pc + 1);
@@ -595,35 +711,36 @@ let m_runs = Obs.Metrics.counter "machine.runs"
 let m_steps = Obs.Metrics.counter "machine.steps"
 
 (* Counting down in a tail-recursive loop keeps the budget in a register.
-   The fault-injection and budget flags are read once per run into
-   [t.checks], so a fault-free, ungoverned loop pays one perfectly
-   predicted test per step, and the loop carries only [t] and the
-   countdown. Governed, the budget is polled on a periodic boundary
-   (every 4096 steps, when the fuel counter's low bits are clear). *)
-let check_faults = 1
-let check_budget = 2
+   [loop] runs until the program halts or the fuel left falls to [stop],
+   and returns the fuel left. The fault-injection flag is read once per
+   run into [t.step_fault], so a fault-free loop pays one perfectly
+   predicted test per step, and the loop carries only [t], the countdown
+   and [stop]. A governed run polls the budget on a periodic boundary
+   (every 4096 steps, when the fuel counter's low bits are clear), running
+   the steps between two boundaries as one [loop] segment. *)
+let poll_mask = 4095
 
-let run_checks t remaining =
-  if t.checks land check_faults <> 0 then Fault.point ~site:"machine.step";
-  if t.checks land check_budget <> 0 && remaining land 4095 = 0 then Budget.poll ()
+let rec loop t remaining stop =
+  if t.halted || remaining <= stop then remaining
+  else begin
+    if t.step_fault then Fault.point ~site:"machine.step";
+    exec t;
+    loop t (remaining - 1) stop
+  end
 
-let rec loop t remaining =
-  if not t.halted then
-    if remaining <= 0 then raise (Trap (Fuel_exhausted t.fuel))
-    else begin
-      if t.checks <> 0 then run_checks t remaining;
-      exec t;
-      loop t (remaining - 1)
-    end
+(* Each segment ends at the next boundary below the fuel left. *)
+let rec polled t remaining =
+  if t.halted || remaining <= 0 then remaining
+  else begin
+    if remaining land poll_mask = 0 then Budget.poll ();
+    polled t (loop t remaining ((remaining - 1) land lnot poll_mask))
+  end
 
 let run ?(fuel = 500_000_000) t =
   (* Observability sits entirely outside the loop: a span around the whole
      run and two counter adds after it, never per step. *)
   let governed = Budget.armed () in
-  t.checks <-
-    (if Fault.enabled () then check_faults else 0)
-    lor if governed then check_budget else 0;
-  t.fuel <- fuel;
+  t.step_fault <- Fault.enabled ();
   let start_icount = t.icount in
   let finish () =
     Obs.Metrics.incr m_runs;
@@ -631,7 +748,10 @@ let run ?(fuel = 500_000_000) t =
   in
   Obs.Trace.begin_span ~cat:"machine" "machine.run";
   if governed then Budget.poll ();
-  (match loop t fuel with
+  (match
+     let left = if governed then polled t fuel else loop t fuel 0 in
+     if left <= 0 && not t.halted then raise (Trap (Fuel_exhausted fuel))
+   with
    | () -> ()
    | exception e ->
      finish ();

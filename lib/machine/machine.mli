@@ -13,10 +13,21 @@
 
     Subscription is {e additive}: every [add_*] call attaches one more
     observer to the point; observers at the same point fire in attach
-    order. A point with a single observer costs one load, one option test
-    and one call; several observers dispatch through a fan-out closure
-    built at attach time that loops over a flat array — still one load on
-    the hot path.
+    order. A per-PC observer is {e plain} ({!add_hook}: every execution is
+    delivered) or {e gated} ({!add_gated_hook}: each delivery returns how
+    many following executions of the pc the observer does not want, and
+    the machine withholds those, per observer, so a plain observer at the
+    same pc still sees every event).
+
+    Cost model. The executor loads one dispatcher per pc. An unhooked pc
+    pays one constructor test. The dispatcher carries the earliest exec
+    count any of its observers wants (0 while a plain observer listens),
+    compared against the pc's exec count, which the executor bumps
+    anyway: a single plain observer pays that one compare and one call;
+    several observers dispatch through a fan-out built at attach time
+    that loops over a flat array, each gate there checking its own
+    threshold; an execution every gate at the pc withholds costs the
+    compare and nothing else — no call and no box.
 
     Execution model: {!create} decodes the program once into a flat form
     (one opcode per pc that already folds in the ALU operation or branch
@@ -25,7 +36,7 @@
     that form. Registers and memory pages hold raw 64-bit words, so an
     instruction at an uninstrumented pc allocates nothing and runs no
     write barrier. A value is boxed only where a subscriber receives it:
-    one minor allocation per delivered event. *)
+    one minor allocation per delivered event, withheld events none. *)
 
 type trap =
   | Div_by_zero of int  (** pc *)
@@ -58,7 +69,9 @@ val max_call_depth : int
 val create : Asm.program -> t
 
 (** Return to the post-[create] state: registers, memory, counters, and pc
-    reset. Hooks are {e kept} (profilers reset themselves). *)
+    reset. Hooks are {e kept} (profilers reset themselves); a gate keeps
+    the executions it still withholds, counted from the reset, and its
+    {!gate_executions} keeps what it counted before. *)
 val reset : t -> unit
 
 val program : t -> Asm.program
@@ -87,12 +100,34 @@ val caller_pc : t -> int option
     earlier observers keep firing (in attach order, before [h]). *)
 val add_hook : t -> int -> hook -> unit
 
-(** Remove {e every} observer at the pc. *)
+(** Gated per-PC observer: [g value addr] receives one execution, like a
+    {!hook}, and returns how many following executions of its pc it does
+    not want delivered. [0] (or less) means the next one; a count the pc
+    can never reach means none. *)
+type gated = int64 -> int64 -> int
+
+(** One gated subscription, as returned by {!add_gated_hook}. *)
+type gate
+
+(** [add_gated_hook t pc g] subscribes [g] at [pc] like {!add_hook} (same
+    attach order, same {!with_attachment} recording, same {!detach}),
+    with the next execution due. Executions [g] declined are withheld
+    from [g] alone: they cost the executor one compare, and other
+    observers at [pc] are unaffected. *)
+val add_gated_hook : t -> int -> gated -> gate
+
+(** Executions of the gate's pc while it was subscribed, delivered or
+    withheld: from {!add_gated_hook} to its {!detach} or clear, summed
+    across {!reset}s. *)
+val gate_executions : t -> gate -> int
+
+(** Remove {e every} observer at the pc, plain and gated. *)
 val clear_hook : t -> int -> unit
 
 val clear_all_hooks : t -> unit
 
-(** Observers currently subscribed at a pc (0 when uninstrumented). *)
+(** Observers currently subscribed at a pc, plain and gated (0 when
+    uninstrumented). *)
 val hook_count : t -> int -> int
 
 (** Subscribe an entry observer on a procedure (additive, like
@@ -120,10 +155,12 @@ val with_attachment : t -> (unit -> 'a) -> 'a * attachment
     survives) and rebuilds the affected dispatchers. Other observers at
     the same points keep firing; the detached profiler's accumulated
     state is untouched and can still be collected — a profile from
-    partial observation. *)
+    partial observation. A detached gate's {!gate_executions} stops
+    counting. *)
 val detach : t -> attachment -> unit
 
-(** Execute one instruction. Raises {!Trap}; no-op once halted. *)
+(** Execute one instruction, delivering it to the observers at its pc
+    that want it. Raises {!Trap}; no-op once halted. *)
 val step : t -> unit
 
 (** [run ?fuel t] steps until the program halts (via [Halt] or a [Ret]
@@ -135,11 +172,12 @@ val step : t -> unit
     when that site is armed, the armed step raises [Fault.Injected]
     mid-run — how tests simulate a worker crashing inside a job.
 
-    When a {!Budget} is armed, the loop additionally polls it on a
-    periodic boundary (every 4096 steps), so governed runs trip
-    deadlines, take degradation steps, or raise on memory pressure
-    cooperatively — between steps, with spans closed and telemetry
-    intact. Ungoverned runs pay one atomic load for the whole run. *)
+    When a {!Budget} is armed, the run also polls it on a periodic
+    boundary (every 4096 steps), so governed runs trip deadlines, take
+    degradation steps, or raise on memory pressure cooperatively —
+    between steps, with spans closed and telemetry intact. The steps
+    between two boundaries run unchecked unless fault injection is armed;
+    ungoverned runs pay one atomic load for the whole run. *)
 val run : ?fuel:int -> t -> int
 
 (** Convenience: [create], [run], and return the machine (for examples and

@@ -255,16 +255,31 @@ let entries t =
     arr;
   arr
 
+(* The slot [entries] would list first (count descending, then value
+   ascending), or -1 when the table is empty: one scan, no allocation. *)
+let top_slot t =
+  let best = ref (-1) in
+  for i = 0 to t.cap - 1 do
+    let c = t.counts.(i) in
+    if c > 0 then
+      if !best < 0 then best := i
+      else begin
+        let bc = t.counts.(!best) in
+        if c > bc || (c = bc && Int64.compare (value t i) (value t !best) < 0)
+        then best := i
+      end
+  done;
+  !best
+
 let top t =
-  let e = entries t in
-  if Array.length e = 0 then None else Some e.(0)
+  let s = top_slot t in
+  if s < 0 then None else Some (value t s, t.counts.(s))
 
 let inv_top t =
   if t.total = 0 then 0.
   else
-    match top t with
-    | None -> 0.
-    | Some (_, c) -> float_of_int c /. float_of_int t.total
+    let s = top_slot t in
+    if s < 0 then 0. else float_of_int t.counts.(s) /. float_of_int t.total
 
 let inv_all t =
   if t.total = 0 then 0. else float_of_int (covered t) /. float_of_int t.total

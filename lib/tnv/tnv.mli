@@ -68,7 +68,8 @@ val covered : t -> int
     byte-identical merged profiles rely on. *)
 val entries : t -> (int64 * int) array
 
-(** Most frequent entry, when any value has been recorded. *)
+(** Most frequent entry, when any value has been recorded: the first of
+    {!entries}, found by one scan of the table without building it. *)
 val top : t -> (int64 * int) option
 
 (** Fraction of all occurrences belonging to the top value — the paper's

@@ -608,6 +608,33 @@ let test_kill_mid_put_never_loses_acknowledged_profile () =
             (Astring_contains.contains out "store: hit"))
         specs)
 
+(* Out-of-range sampler and TNV numbers are usage errors naming their
+   flag, rejected before anything runs — never an internal error from
+   deep in a run, nor a value silently misread. *)
+let check_usage_error args flag =
+  let code, out = run_cli args in
+  Alcotest.(check int) (args ^ ": usage error") 2 code;
+  Alcotest.(check bool) (args ^ ": names the flag") true
+    (Astring_contains.contains out flag);
+  Alcotest.(check bool) (args ^ ": not an internal error") false
+    (Astring_contains.contains out "internal error")
+
+let test_bad_burst () =
+  check_usage_error "sample -w go --burst 0" "--burst";
+  check_usage_error "sample -w go --burst=-3" "--burst"
+
+let test_bad_skip () = check_usage_error "sample -w go --skip=-5" "--skip"
+
+let test_bad_epsilon () =
+  check_usage_error "sample -w go --epsilon=nan" "--epsilon";
+  check_usage_error "sample -w go --epsilon=-1" "--epsilon"
+
+let test_bad_tnv_size () =
+  check_usage_error "profile -w go --tnv-size=0" "--tnv-size"
+
+let test_bad_clear_interval () =
+  check_usage_error "profile -w go --clear-interval=0" "--clear-interval"
+
 let suite =
   [ Alcotest.test_case "binary present" `Quick test_binary_present;
     Alcotest.test_case "list" `Slow test_list;
@@ -655,4 +682,9 @@ let suite =
       test_store_verify_scrub_recompute_cycle;
     Alcotest.test_case "kill -9 mid-put never loses an acknowledged profile"
       `Slow test_kill_mid_put_never_loses_acknowledged_profile;
-    Alcotest.test_case "negative address trap" `Quick test_negative_address_trap ]
+    Alcotest.test_case "negative address trap" `Quick test_negative_address_trap;
+    Alcotest.test_case "bad --burst" `Quick test_bad_burst;
+    Alcotest.test_case "bad --skip" `Quick test_bad_skip;
+    Alcotest.test_case "bad --epsilon" `Quick test_bad_epsilon;
+    Alcotest.test_case "bad --tnv-size" `Quick test_bad_tnv_size;
+    Alcotest.test_case "bad --clear-interval" `Quick test_bad_clear_interval ]

@@ -387,6 +387,39 @@ let test_degrade_keeps_last_member () =
        (profile.solo prog) prof
    | _ -> Alcotest.fail "expected one result")
 
+(* A sampler shed mid-run counts its points' executions up to the detach,
+   no further: its gates close there, as its hooks stopped firing when it
+   counted them itself. *)
+let test_shed_sampler_counts_to_detach () =
+  Fun.protect ~finally:Budget.Testing.reset @@ fun () ->
+  Budget.govern { Budget.no_limits with Budget.degrade = true } @@ fun () ->
+  let prog = tiny_program 200 42 in
+  let trivial = List.find (fun e -> e.pname = "trivial") roster in
+  let machine = Machine.create prog in
+  let live =
+    Fused.attach machine
+      [ trivial.item;
+        Fused.item
+          ~finish:(fun (s : Sampler.t) -> string_of_int s.total_events)
+          (module Sampler.Profiler) ]
+  in
+  (try ignore (Machine.run ~fuel:64 machine)
+   with Machine.Trap (Machine.Fuel_exhausted _) -> ());
+  let before = Atom.dynamic_events machine (Atom.select prog `All) in
+  (* the forced step sheds at the next poll, before the run's first step *)
+  Budget.Testing.force_step ();
+  ignore (Machine.run machine);
+  let f = Fused.collect live in
+  Alcotest.(check (list string)) "the sampler (costliest) was shed" [ "sample" ]
+    f.Fused.shed;
+  Alcotest.(check bool) "the run went on past the detach" true
+    (Atom.dynamic_events machine (Atom.select prog `All) > before);
+  match f.Fused.results with
+  | [ _; events ] ->
+    Alcotest.(check string) "events counted up to the detach"
+      (string_of_int before) events
+  | _ -> Alcotest.fail "expected two results"
+
 let suite =
   [ Alcotest.test_case "co-attached profilers see every event" `Quick
       test_coattached_profilers_see_every_event;
@@ -399,4 +432,6 @@ let suite =
       test_degrade_sheds_costliest_member;
     Alcotest.test_case "degradation never sheds the last member" `Quick
       test_degrade_keeps_last_member;
-    QCheck_alcotest.to_alcotest prop_fused_matches_solo ]
+    QCheck_alcotest.to_alcotest prop_fused_matches_solo;
+    Alcotest.test_case "a shed sampler counts events up to its detach" `Quick
+      test_shed_sampler_counts_to_detach ]

@@ -629,6 +629,112 @@ let test_deep_recursion () =
     (Machine.reg m v0);
   Alcotest.(check int) "stack unwound" 0 (Machine.call_depth m)
 
+(* ---- gated subscriptions ----------------------------------------- *)
+
+(* A counting loop: the instruction at pc 1 runs [n] times and produces
+   1, 2, ..., n, so a hook there learns which execution it was given. *)
+let counting_loop n =
+  build (fun b ->
+      Asm.ldi b t0 (Int64.of_int n);
+      Asm.label b "loop";
+      Asm.addi b ~dst:t1 t1 1L;
+      Asm.subi b ~dst:t0 t0 1L;
+      Asm.br b Gt t0 "loop";
+      Asm.halt b)
+
+(* A gated hook at pc 1 that logs the executions it is given and always
+   asks to skip [skip] more. *)
+let gated_log m skip =
+  let log = ref [] in
+  let g =
+    Machine.add_gated_hook m 1 (fun v _ ->
+        log := Int64.to_int v :: !log;
+        skip)
+  in
+  (g, fun () -> List.rev !log)
+
+let test_gate_zero_sees_every_execution () =
+  let m = Machine.create (counting_loop 10) in
+  let g, log = gated_log m 0 in
+  ignore (Machine.run m);
+  Alcotest.(check (list int)) "every execution delivered"
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (log ());
+  Alcotest.(check int) "every execution counted" 10 (Machine.gate_executions m g)
+
+(* reset zeroes the exec counts but not what a gate still withholds:
+   after the delivery at 9 with a gap of 3, execution 10 and the first
+   two of the next run are skipped *)
+let test_gate_survives_reset () =
+  let m = Machine.create (counting_loop 10) in
+  let g, log = gated_log m 3 in
+  ignore (Machine.run m);
+  Alcotest.(check (list int)) "first run" [ 1; 5; 9 ] (log ());
+  Alcotest.(check int) "first run counted" 10 (Machine.gate_executions m g);
+  Machine.reset m;
+  Alcotest.(check int) "reset keeps the count" 10 (Machine.gate_executions m g);
+  ignore (Machine.run m);
+  Alcotest.(check (list int)) "the gap carries over" [ 1; 5; 9; 3; 7 ] (log ());
+  Alcotest.(check int) "both runs counted" 20 (Machine.gate_executions m g)
+
+let test_gate_cleared () =
+  let m = Machine.create (counting_loop 10) in
+  let g, log = gated_log m 1 in
+  let plain = ref 0 in
+  Machine.add_hook m 1 (fun _ _ -> incr plain);
+  Alcotest.(check int) "gates count as subscribers" 2 (Machine.hook_count m 1);
+  ignore (Machine.run m);
+  Machine.clear_hook m 1;
+  Alcotest.(check int) "no subscribers left" 0 (Machine.hook_count m 1);
+  Machine.reset m;
+  ignore (Machine.run m);
+  Alcotest.(check (list int)) "nothing delivered after the clear"
+    [ 1; 3; 5; 7; 9 ] (log ());
+  Alcotest.(check int) "plain hook saw one run" 10 !plain;
+  Alcotest.(check int) "count stops at the clear" 10 (Machine.gate_executions m g);
+  (* clear_all_hooks closes gates too *)
+  let m = Machine.create (counting_loop 10) in
+  let g, log = gated_log m 0 in
+  ignore (Machine.run m);
+  Machine.clear_all_hooks m;
+  Machine.reset m;
+  ignore (Machine.run m);
+  Alcotest.(check int) "clear_all_hooks stops the count" 10
+    (Machine.gate_executions m g);
+  Alcotest.(check int) "and the deliveries" 10 (List.length (log ()))
+
+(* Two gates and a plain hook at one pc each keep their own cadence;
+   detaching one gate mid-run leaves the others untouched. *)
+let test_gate_detach_one_of_two () =
+  let m = Machine.create (counting_loop 10) in
+  let plain = ref [] in
+  Machine.add_hook m 1 (fun v _ -> plain := Int64.to_int v :: !plain);
+  let (a, log_a), att_a = Machine.with_attachment m (fun () -> gated_log m 1) in
+  let (b, log_b), _ = Machine.with_attachment m (fun () -> gated_log m 2) in
+  (* ldi, then 6 iterations of three instructions *)
+  (try ignore (Machine.run ~fuel:19 m)
+   with Machine.Trap (Machine.Fuel_exhausted _) -> ());
+  Machine.detach m att_a;
+  Alcotest.(check int) "two subscribers left" 2 (Machine.hook_count m 1);
+  ignore (Machine.run m);
+  Alcotest.(check (list int)) "detached gate" [ 1; 3; 5 ] (log_a ());
+  Alcotest.(check int) "detached gate counted up to its detach" 6
+    (Machine.gate_executions m a);
+  Alcotest.(check (list int)) "surviving gate" [ 1; 4; 7; 10 ] (log_b ());
+  Alcotest.(check int) "surviving gate counted the whole run" 10
+    (Machine.gate_executions m b);
+  Alcotest.(check (list int)) "plain hook saw every execution"
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (List.rev !plain)
+
+let test_gate_step () =
+  let stepped = Machine.create (counting_loop 10) in
+  let g, log = gated_log stepped 2 in
+  while not (Machine.halted stepped) do
+    Machine.step stepped
+  done;
+  Alcotest.(check (list int)) "step delivers what run does" [ 1; 4; 7; 10 ] (log ());
+  Alcotest.(check int) "and counts every execution" 10
+    (Machine.gate_executions stepped g)
+
 let suite =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "logic and shifts" `Quick test_logic_and_shifts;
@@ -670,4 +776,11 @@ let suite =
     Alcotest.test_case "bad register raises when executed" `Quick
       test_bad_register_raises_when_executed;
     Alcotest.test_case "zero register write hook" `Quick test_zero_register_write_hook;
-    Alcotest.test_case "deep recursion" `Quick test_deep_recursion ]
+    Alcotest.test_case "deep recursion" `Quick test_deep_recursion;
+    Alcotest.test_case "gated hook returning 0 sees every execution" `Quick
+      test_gate_zero_sees_every_execution;
+    Alcotest.test_case "gate survives reset" `Quick test_gate_survives_reset;
+    Alcotest.test_case "cleared gate stops" `Quick test_gate_cleared;
+    Alcotest.test_case "detaching one of two gates" `Quick
+      test_gate_detach_one_of_two;
+    Alcotest.test_case "step honours gates" `Quick test_gate_step ]

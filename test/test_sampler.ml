@@ -89,7 +89,16 @@ let test_invalid_configs () =
   Alcotest.check_raises "bad backoff"
     (Invalid_argument "Sampler: backoff must be >= 1") (fun () ->
       ignore
-        (Sampler.run ~config:{ Sampler.default_config with backoff = 0.5 } prog))
+        (Sampler.run ~config:{ Sampler.default_config with backoff = 0.5 } prog));
+  (* a negative gap never reaches the machine's gate *)
+  Alcotest.check_raises "bad skip"
+    (Invalid_argument "Sampler: skips must be >= 0") (fun () ->
+      ignore
+        (Sampler.run ~config:{ Sampler.default_config with initial_skip = -5 } prog));
+  Alcotest.check_raises "bad max_skip"
+    (Invalid_argument "Sampler: skips must be >= 0") (fun () ->
+      ignore
+        (Sampler.run ~config:{ Sampler.default_config with max_skip = -1 } prog))
 
 let test_top_stability_criterion () =
   let prog = stationary_program 50_000 in
@@ -224,6 +233,145 @@ let test_merge_identity_and_sum () =
   Alcotest.(check bool) "convergence is the conjunction" true
     (Bool.equal p.Sampler.s_converged q.Sampler.s_converged)
 
+(* ---- the machine gate against the in-hook countdown --------------- *)
+
+(* The reference model: the sampler as it ran before the machine withheld
+   its gaps — a plain hook that sees every execution, counts it, and
+   counts down the gap the burst machinery returned at each burst end. *)
+let reference_attach machine config pcs =
+  List.map
+    (fun pc ->
+      let st = Sampler.Testing.make_state config in
+      let events = ref 0 and to_skip = ref 0 in
+      Machine.add_hook machine pc (fun v _ ->
+          incr events;
+          if !to_skip > 0 then decr to_skip
+          else to_skip := Sampler.Testing.observe st v);
+      (pc, st, events))
+    pcs
+
+let reference_points refs =
+  List.map
+    (fun (pc, st, events) ->
+      ( pc,
+        Sampler.Testing.metrics st,
+        !events,
+        Sampler.Testing.profiled st,
+        Sampler.Testing.is_converged st ))
+    refs
+
+let sampled_points (s : Sampler.t) =
+  Array.to_list
+    (Array.map
+       (fun (p : Sampler.point) ->
+         (p.s_pc, p.s_metrics, p.s_events, p.s_profiled, p.s_converged))
+       s.points)
+
+(* Generated loop programs: [iters] iterations of a body that loads from
+   a small table, folds immediates into the loaded value, or mixes in a
+   flag that flips at iteration [k] — points whose values repeat, drift
+   or change phase, each executed up to a few thousand times. Divisors
+   are non-zero immediates, so no run traps. *)
+type body_op = Load of int | Fold of Isa.binop * int64 | Flip of int
+
+let build_loop (iters, table, ops) =
+  let b = Asm.create () in
+  let base = Asm.data b table in
+  Asm.proc b "main" (fun b ->
+      Asm.ldi b t0 0L;
+      Asm.ldi b t1 base;
+      Asm.label b "loop";
+      Asm.cmplti b ~dst:t2 t0 (Int64.of_int iters);
+      Asm.br b Eq t2 "done";
+      List.iter
+        (function
+          | Load mask ->
+            Asm.andi b ~dst:t3 t0 (Int64.of_int mask);
+            Asm.add b ~dst:t3 t1 t3;
+            Asm.ld b ~dst:t5 ~base:t3 ~off:0
+          | Fold (op, k) -> Asm.bin b op ~dst:t5 t5 (Isa.Imm k)
+          | Flip k ->
+            Asm.cmplti b ~dst:t4 t0 (Int64.of_int k);
+            Asm.add b ~dst:t5 t5 t4)
+        ops;
+      Asm.addi b ~dst:t0 t0 1L;
+      Asm.jmp b "loop";
+      Asm.label b "done";
+      Asm.halt b);
+  Asm.assemble b ~entry:"main"
+
+let gen_loop =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [ (3, map (fun m -> Load m) (oneofl [ 0; 1; 3; 7; 15 ]));
+          ( 3,
+            map2
+              (fun op k -> Fold (op, Int64.of_int k))
+              (oneofl
+                 Isa.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Cmpeq; Cmplt ])
+              (int_range 1 5) );
+          (1, map (fun k -> Flip k) (int_range 0 3000)) ]
+    in
+    triple (int_range 1 3000)
+      (array_size (return 16) (map Int64.of_int (int_range (-3) 3)))
+      (list_size (int_range 1 6) op))
+
+let gen_config =
+  QCheck.Gen.(
+    let* burst = int_range 1 64 in
+    let* initial_skip = int_range 0 500 in
+    let* backoff = float_range 1. 8. in
+    let* max_skip = int_range 0 5000 in
+    let* epsilon = float_range 0. 0.2 in
+    let* consecutive = int_range 1 4 in
+    let* criterion = oneofl [ Sampler.Inv_delta; Sampler.Top_stability ] in
+    return
+      { Sampler.burst; initial_skip; epsilon; consecutive; backoff; max_skip;
+        criterion })
+
+let print_case ((iters, _, ops), (c : Sampler.config), fused) =
+  Printf.sprintf
+    "iters %d, %d ops, burst %d, skip %d, backoff %g, max_skip %d, epsilon %g, \
+     consecutive %d, %s, %s"
+    iters (List.length ops) c.burst c.initial_skip c.backoff c.max_skip
+    c.epsilon c.consecutive
+    (match c.criterion with Sampler.Inv_delta -> "inv-delta" | Top_stability -> "top")
+    (if fused then "fused with Profile" else "solo")
+
+(* Solo, or fused with a full profile attached first at every pc the
+   sampler gates: the gated sampler must report exactly what the
+   countdown reference reports, and the full profile exactly what it
+   reports alone. *)
+let prop_gate_matches_countdown =
+  QCheck.Test.make ~name:"machine-gated sampler == in-hook countdown" ~count:150
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(triple gen_loop gen_config bool))
+    (fun (spec, config, fused) ->
+      let prog = build_loop spec in
+      let pcs = Atom.select prog `All in
+      let reference =
+        let m = Machine.create prog in
+        let refs = reference_attach m config pcs in
+        ignore (Machine.run m);
+        reference_points refs
+      in
+      let m = Machine.create prog in
+      let full = if fused then Some (Profile.attach m `All) else None in
+      let live = Sampler.attach ~config m `All in
+      ignore (Machine.run m);
+      let sampled = Sampler.collect live in
+      sampled_points sampled = reference
+      && sampled.Sampler.total_events
+         = List.fold_left (fun a (_, _, e, _, _) -> a + e) 0 reference
+      &&
+      match full with
+      | None -> true
+      | Some live ->
+        let got = Profile.collect live and solo = Profile.run ~selection:`All prog in
+        got.Profile.points = solo.Profile.points
+        && got.Profile.profiled_events = solo.Profile.profiled_events)
+
 let suite =
   [ Alcotest.test_case "no skip equals full" `Quick test_no_skip_equals_full;
     Alcotest.test_case "no shared live points: error is 0, not NaN" `Quick
@@ -247,4 +395,5 @@ let suite =
     Alcotest.test_case "back-off resets on a noisy burst" `Quick
       test_backoff_resets_on_noisy_burst;
     Alcotest.test_case "degradation widens the gap" `Quick
-      test_degrade_widens_skip ]
+      test_degrade_widens_skip;
+    QCheck_alcotest.to_alcotest prop_gate_matches_countdown ]

@@ -320,6 +320,34 @@ let qcheck_index_matches_linear_scan =
           && Tnv.total t = m.Model.total)
         [ Tnv.Lfu_clear; Tnv.Lfu; Tnv.Lru ])
 
+(* [top] scans for the first entry instead of building the sorted array:
+   the two must agree after every add, on negative and extreme values and
+   on count ties, under every policy *)
+let qcheck_top_is_first_entry =
+  QCheck.Test.make ~name:"top is the first entry" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 1 8) (int_range 1 40)
+           (list_size (int_range 0 300)
+              (frequency
+                 [ (8, map Int64.of_int (int_range (-6) 6));
+                   (1, oneofl [ Int64.min_int; Int64.max_int; -1L ]) ]))))
+    (fun (cap, interval, stream) ->
+      List.for_all
+        (fun policy ->
+          let t = Tnv.create ~policy ~capacity:cap ~clear_interval:interval () in
+          let agrees () =
+            let e = Tnv.entries t in
+            Tnv.top t = if Array.length e = 0 then None else Some e.(0)
+          in
+          agrees ()
+          && List.for_all
+               (fun v ->
+                 Tnv.add t v;
+                 agrees ())
+               stream)
+        [ Tnv.Lfu_clear; Tnv.Lfu; Tnv.Lru ])
+
 let suite =
   [ Alcotest.test_case "basic counting" `Quick test_basic_counting;
     Alcotest.test_case "empty table" `Quick test_empty;
@@ -343,4 +371,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_conservation;
     QCheck_alcotest.to_alcotest qcheck_entries_sorted;
     QCheck_alcotest.to_alcotest qcheck_finds_dominant_value;
-    QCheck_alcotest.to_alcotest qcheck_index_matches_linear_scan ]
+    QCheck_alcotest.to_alcotest qcheck_index_matches_linear_scan;
+    QCheck_alcotest.to_alcotest qcheck_top_is_first_entry ]
