@@ -849,15 +849,17 @@ let run_experiments id csv jobs shards store retries fail_fast fuel trace
     (match Supervisor.failures rep with
      | [] -> ()
      | failures ->
-       List.iter
-         (fun (o : string Supervisor.outcome) ->
-           match o.Supervisor.o_result with
-           | Ok _ -> ()
-           | Error e ->
-             Printf.eprintf "experiment %s FAILED after %d attempts: %s\n"
-               o.Supervisor.o_name o.Supervisor.o_attempts
-               (Supervisor.string_of_error e))
-         failures;
+       report_failures
+         (List.filter_map
+            (fun (o : string Supervisor.outcome) ->
+              match o.Supervisor.o_result with
+              | Ok _ -> None
+              | Error e ->
+                Some
+                  { Experiments.f_spec = Experiments.find o.Supervisor.o_name;
+                    f_attempts = o.Supervisor.o_attempts;
+                    f_error = e })
+            failures);
        Printf.eprintf
          "%d of %d experiments failed; completed work is committed under %s \
           — rerun with the same directory to retry only the failures\n"

@@ -75,7 +75,7 @@ let attach machine items =
             (fun () ->
               let r = P.collect live in
               (finish r, P.stats r));
-          cl_cost = (fun () -> Counters.run_cost (P.stats (P.collect live)));
+          cl_cost = (fun () -> Counters.run_cost (P.stats (P.peek live)));
           cl_att = att;
           cl_dropped = false })
       items

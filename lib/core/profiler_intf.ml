@@ -31,7 +31,14 @@ module type S = sig
   type live
 
   val attach : ?config:config -> Machine.t -> live
+
+  (** The run's result, published to the metrics registry (see {!Make}).
+      Call it once per run. *)
   val collect : live -> result
+
+  (** What {!collect} would return now, without publishing it — for
+      probing a live run, as fused degradation does to rank members. *)
+  val peek : live -> result
 
   (** Build a machine, run it fully instrumented, collect. *)
   val run : ?config:config -> ?fuel:int -> Asm.program -> result
@@ -72,7 +79,7 @@ end
     run's cost counters into the metrics registry under
     ["profiler.<name>.*"] (see {!Obs.publish_profiler_run}), so every
     profiler feeds the same aggregation substrate without touching the
-    registry itself. *)
+    registry itself; [peek] publishes nothing. *)
 module Make (X : Spec) :
   S with type config = X.config and type result = X.result and type live = X.live =
 struct
@@ -87,7 +94,7 @@ struct
 
   let attach ?(config = X.default_config) machine = X.attach config machine
 
-  let collect live =
+  let stamped live =
     let r = X.collect live in
     let c = X.stats r in
     (* stamp the governance degradation level so callers can tell exact
@@ -95,6 +102,12 @@ struct
        budget was ever armed *)
     let lvl = Budget.degrade_level () in
     if lvl > c.Counters.degrade_level then c.Counters.degrade_level <- lvl;
+    (r, c)
+
+  let peek live = fst (stamped live)
+
+  let collect live =
+    let r, c = stamped live in
     Obs.publish_profiler_run ~name:X.name c;
     r
 

@@ -31,14 +31,10 @@ let classify = function
 type policy = {
   retries : int;
   fuel_timeout : int option;
-  max_fuel : int option;
-  jitter : float;
   on_error : [ `Skip | `Abort ];
 }
 
-let default_policy =
-  { retries = 1; fuel_timeout = None; max_fuel = None; jitter = 0.;
-    on_error = `Skip }
+let default_policy = { retries = 1; fuel_timeout = None; on_error = `Skip }
 
 type 'a outcome = {
   o_name : string;
@@ -75,32 +71,13 @@ let report_of outcomes =
 
 (* Fuel budget for the 0-based attempt [k]: the job's own base (else the
    policy's), doubled per retry — backoff-in-fuel. Saturates instead of
-   overflowing; [policy.max_fuel] caps the widening so a pathological
-   job's final attempt cannot consume arbitrary fuel. [policy.jitter > 0]
-   additionally widens retry budgets by a factor in [1, 1 + jitter)
-   drawn from an Rng seeded by the job name and attempt index — a herd
-   of identical retried units stops re-timing-out in lockstep on exactly
-   the same budget, yet the draw depends on nothing but (name, k), so
-   reports stay schedule-independent and reproducible. *)
-let attempt_fuel policy ~name base k =
+   overflowing. *)
+let attempt_fuel policy base k =
   match (match base with Some _ -> base | None -> policy.fuel_timeout) with
   | None -> None
   | Some f ->
     let widened = f lsl k in
-    let widened = if k >= 62 || widened < f then max_int else widened in
-    let jittered =
-      if policy.jitter <= 0. || k = 0 || widened = max_int then widened
-      else begin
-        let rng = Rng.create (Int64.of_int (Hashtbl.hash (name, k))) in
-        let factor = 1. +. (policy.jitter *. Rng.float rng) in
-        let v = int_of_float (float_of_int widened *. factor) in
-        if v < widened then max_int else v
-      end
-    in
-    Some
-      (match policy.max_fuel with
-       | Some m -> min jittered m
-       | None -> jittered)
+    Some (if k >= 62 || widened < f then max_int else widened)
 
 let m_sup_jobs = Obs.Metrics.counter "supervisor.jobs"
 let m_sup_retries = Obs.Metrics.counter "supervisor.retries"
@@ -133,7 +110,7 @@ let supervise ?(policy = default_policy) ?jobs items =
                   that never polls on its own still cannot start past
                   the deadline *)
                Budget.poll ();
-               run ~fuel:(attempt_fuel policy ~name base k))
+               run ~fuel:(attempt_fuel policy base k))
             with
             | v -> { o_name = name; o_attempts = k + 1; o_result = Ok v }
             | exception e ->
@@ -221,5 +198,5 @@ let run_jobs ?policy ?jobs ?(fuse = true) djobs =
     |> List.map (function Some o -> o | None -> assert false))
 
 module Testing = struct
-  let attempt_fuel policy ~name ~base k = attempt_fuel policy ~name base k
+  let attempt_fuel policy ~base k = attempt_fuel policy base k
 end

@@ -49,23 +49,12 @@ type policy = {
       (** per-attempt instruction budget for jobs that don't carry their
           own fuel; [None] leaves the machine default (no backoff
           possible) *)
-  max_fuel : int option;
-      (** hard cap on any attempt's fuel budget: retry doubling saturates
-          here instead of growing unboundedly ([None] = uncapped, the
-          pre-governance behaviour) *)
-  jitter : float;
-      (** [> 0.] widens each {e retry}'s fuel budget by a factor in
-          [1, 1 + jitter), drawn deterministically from the job name and
-          attempt index — desynchronizes a herd of identical retried
-          units without sacrificing reproducibility. [0.] (default)
-          keeps exact doubling. *)
   on_error : [ `Skip | `Abort ];
       (** after retries are exhausted: record and continue, or trip the
           shared cancellation flag and stop the grid *)
 }
 
-(** [{ retries = 1; fuel_timeout = None; max_fuel = None; jitter = 0.;
-      on_error = `Skip }]. *)
+(** [{ retries = 1; fuel_timeout = None; on_error = `Skip }]. *)
 val default_policy : policy
 
 (** One job's fate. *)
@@ -111,11 +100,11 @@ val map :
 val run_jobs :
   ?policy:policy -> ?jobs:int -> ?fuse:bool -> 'a Driver.job list -> 'a report
 
-(** Test-only window into the backoff arithmetic, so cap and jitter can
-    be asserted directly instead of through whole grid runs. *)
+(** Test-only window into the backoff arithmetic, so it can be asserted
+    directly instead of through whole grid runs. *)
 module Testing : sig
-  (** [attempt_fuel policy ~name ~base k] is the fuel budget the
-      supervisor would give the 0-based attempt [k] of job [name]. *)
-  val attempt_fuel :
-    policy -> name:string -> base:int option -> int -> int option
+  (** [attempt_fuel policy ~base k] is the fuel budget the supervisor
+      would give the 0-based attempt [k] of a job whose own fuel is
+      [base]. *)
+  val attempt_fuel : policy -> base:int option -> int -> int option
 end

@@ -93,8 +93,6 @@ type run_config = {
   rc_jobs : int option;
   rc_fuel : int option;
   rc_retries : int;
-  rc_max_fuel : int option;
-  rc_jitter : float;
   rc_fail_fast : bool;
   rc_trace : string option;
   rc_metrics : string option;
@@ -106,8 +104,6 @@ let default_run_config =
   { rc_jobs = None;
     rc_fuel = Supervisor.default_policy.Supervisor.fuel_timeout;
     rc_retries = Supervisor.default_policy.Supervisor.retries;
-    rc_max_fuel = Supervisor.default_policy.Supervisor.max_fuel;
-    rc_jitter = Supervisor.default_policy.Supervisor.jitter;
     rc_fail_fast = false;
     rc_trace = None;
     rc_metrics = None;
@@ -117,8 +113,6 @@ let default_run_config =
 let policy_of_config c =
   { Supervisor.retries = c.rc_retries;
     fuel_timeout = c.rc_fuel;
-    max_fuel = c.rc_max_fuel;
-    jitter = c.rc_jitter;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
 
 (* Sink plumbing: if the config names a trace sink, the trace is reset

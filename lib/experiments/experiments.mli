@@ -44,9 +44,6 @@ type run_config = {
   rc_jobs : int option;  (** worker pool size; [None] = recommended count *)
   rc_fuel : int option;  (** per-attempt fuel budget; [None] = unlimited *)
   rc_retries : int;  (** extra attempts per experiment after the first *)
-  rc_max_fuel : int option;
-      (** cap on retry fuel-doubling (see {!Supervisor.policy}) *)
-  rc_jitter : float;  (** retry-backoff jitter fraction; [0.] = exact *)
   rc_fail_fast : bool;  (** abort the suite on the first hard failure *)
   rc_trace : string option;  (** write a Chrome trace of the run here *)
   rc_metrics : string option;  (** write a registry snapshot here *)

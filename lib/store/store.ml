@@ -1,4 +1,7 @@
-let manifest_header = "vprof-store 1"
+(* Version 2 names payload files by their payload's CRC-32 as well as
+   their key. A version-1 manifest is not loaded: its store opens empty,
+   and gc removes the old files. *)
+let manifest_header = "vprof-store 2"
 
 let m_hits = Obs.Metrics.counter "store.hits"
 let m_misses = Obs.Metrics.counter "store.misses"
@@ -6,8 +9,6 @@ let m_bytes_written = Obs.Metrics.counter "store.bytes_written"
 let m_decode_failures = Obs.Metrics.counter "store.decode_failures"
 let m_orphans_swept = Obs.Metrics.counter "store.orphans_swept"
 let m_quarantined = Obs.Metrics.counter "store.quarantined"
-let m_recovered = Obs.Metrics.counter "journal.recovered"
-let m_rolled_back = Obs.Metrics.counter "journal.rolled_back"
 
 module Fingerprint = struct
   type t = {
@@ -165,23 +166,19 @@ let unescape s =
     Buffer.contents buf
   end
 
-(* Payload file name: a readable sanitized stem plus the crc of the raw
-   key, so distinct keys can never collide after sanitization. *)
-let payload_file name =
-  let stem =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c
-        | _ -> '_')
-      name
-  in
-  Printf.sprintf "%s-%s.out" stem (Crc32.to_hex (Crc32.string name))
+(* Payload file name: a readable sanitized stem, the crc of the raw key
+   (distinct keys never collide after sanitization) and the crc of the
+   payload. New bytes for a key therefore land beside, never over, the
+   bytes its committed row names, which is what makes the manifest rename
+   a put's one commit point. *)
+let payload_file key ~crc =
+  Printf.sprintf "%s-%s-%s.out" (Fingerprint.sanitize key)
+    (Crc32.to_hex (Crc32.string key)) (Crc32.to_hex crc)
 
 let store_dir t =
   match t.s_backend with Memory -> invalid_arg "Store: no directory" | Dir d -> d
 
-let payload_path dir key = Filename.concat dir (payload_file key)
+let payload_path dir key ~crc = Filename.concat dir (payload_file key ~crc)
 
 let manifest_path t = Filename.concat (store_dir t) "manifest"
 
@@ -235,7 +232,7 @@ let set_entry t key ~payload ~crc ~gen =
 (* The bytes of [key]'s payload file, if they have the recorded length
    and CRC-32. *)
 let read_intact dir key ~bytes ~crc =
-  match read_file (payload_path dir key) with
+  match read_file (payload_path dir key ~crc) with
   | exception Sys_error _ -> None
   | payload when String.length payload = bytes && Crc32.string payload = crc ->
     Some payload
@@ -319,63 +316,20 @@ let load t =
 
 (* --- orphan sweep --- *)
 
-(* Atomic commits that died between temp-file creation and [rename] leave
-   a [*.tmp] behind; swept on open so they cannot accumulate forever. *)
-let sweep_orphans dir =
+(* Removes the files of [dir] that [doomed] picks, counting each. On
+   open: the [*.tmp] an atomic commit killed before its rename leaves.
+   On gc: every [*.out] no row names. *)
+let sweep dir doomed =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
   | names ->
     Array.iter
       (fun n ->
-        if Filename.check_suffix n ".tmp" then begin
+        if doomed n then begin
           (try Sys.remove (Filename.concat dir n) with Sys_error _ -> ());
           Obs.Metrics.incr m_orphans_swept
         end)
       names
-
-(* --- crash recovery --- *)
-
-(* Replays the write-ahead journal left by a crashed invocation. Each
-   pending intent rolls {e forward} when its mutation's bytes survived
-   (reinstate the entry) or {e back} when they did not (the mutation
-   never became durable; the loaded state is already the pre-mutation
-   one). Every step is idempotent, so dying mid-recovery just replays on
-   the next open. *)
-let recover t =
-  match t.s_backend with
-  | Memory -> ()
-  | Dir dir ->
-    let pend = Journal.pending ~dir in
-    if pend <> [] then begin
-      List.iter
-        (fun op ->
-          match op with
-          | Journal.Put { key; gen; bytes; crc } ->
-            (match read_intact dir key ~bytes ~crc with
-             | Some payload ->
-               set_entry t key ~payload ~crc ~gen;
-               Obs.Metrics.incr m_recovered
-             | None ->
-               (* the file does not hold the intended bytes: the put died
-                  before anything durable existed, so there is nothing to
-                  undo *)
-               Obs.Metrics.incr m_rolled_back)
-          | Journal.Gc keys ->
-            List.iter
-              (fun k ->
-                Hashtbl.remove t.s_table k;
-                drop_lost t k;
-                try Sys.remove (payload_path dir k) with Sys_error _ -> ())
-              keys;
-            t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
-            Obs.Metrics.incr m_recovered
-          | Journal.Generation g ->
-            t.s_gen <- max t.s_gen g;
-            Obs.Metrics.incr m_recovered)
-        pend;
-      persist t
-    end;
-    Journal.reset ~dir
 
 (* --- opening --- *)
 
@@ -393,14 +347,10 @@ let open_dir ?(reset = false) dir =
     { s_backend = Dir dir; s_mu = Mutex.create (); s_table = Hashtbl.create 64;
       s_order = []; s_gen = 0; s_lost = [] }
   in
-  if reset then begin
-    Journal.reset ~dir;
-    persist t
-  end
+  if reset then persist t
   else begin
-    sweep_orphans dir;
-    load t;
-    recover t
+    sweep dir (fun n -> Filename.check_suffix n ".tmp");
+    load t
   end;
   t
 
@@ -418,13 +368,7 @@ let new_generation t =
     ~finally:(fun () -> Mutex.unlock t.s_mu)
     (fun () ->
       t.s_gen <- t.s_gen + 1;
-      (match t.s_backend with
-       | Memory -> ()
-       | Dir dir -> Journal.append_intent ~dir (Journal.Generation t.s_gen));
       persist t;
-      (match t.s_backend with
-       | Memory -> ()
-       | Dir dir -> Journal.append_commit ~dir);
       t.s_gen)
 
 (* --- lookups --- *)
@@ -461,18 +405,13 @@ let put t ~key ~payload =
       (match t.s_backend with
        | Memory -> ()
        | Dir dir ->
-         (* intent first: a crash anywhere past this line is replayed or
-            rolled back on the next open from the journal record *)
-         Journal.append_intent ~dir
-           (Journal.Put
-              { key; gen = t.s_gen; bytes = String.length payload; crc });
          Fault.point ~site:"store.payload.write";
-         write_atomic ~dir (payload_path dir key) payload);
+         write_atomic ~dir (payload_path dir key ~crc) payload;
+         (* a crash from here to the manifest rename leaves the old store;
+            new bytes also leave a file no row names, which gc removes *)
+         Fault.point ~site:"store.orphan");
       set_entry t key ~payload ~crc ~gen:t.s_gen;
-      persist t;
-      match t.s_backend with
-      | Memory -> ()
-      | Dir dir -> Journal.append_commit ~dir)
+      persist t)
 
 (* --- inspection and gc --- *)
 
@@ -520,24 +459,30 @@ let gc t ~keep =
       in
       let all_dead = dead @ dead_lost in
       if all_dead <> [] then begin
-        (match t.s_backend with
-         | Memory -> ()
-         | Dir dir -> Journal.append_intent ~dir (Journal.Gc all_dead));
         List.iter
           (fun k ->
             Hashtbl.remove t.s_table k;
-            drop_lost t k;
-            match t.s_backend with
-            | Memory -> ()
-            | Dir dir ->
-              (try Sys.remove (payload_path dir k) with Sys_error _ -> ()))
+            drop_lost t k)
           all_dead;
         t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
-        persist t;
-        match t.s_backend with
-        | Memory -> ()
-        | Dir dir -> Journal.append_commit ~dir
+        persist t
       end;
+      (* files go only once no committed row names them, so a crash
+         anywhere here leaves files that the next gc removes *)
+      (match t.s_backend with
+       | Memory -> ()
+       | Dir dir ->
+         Fault.point ~site:"store.orphan";
+         let named = Hashtbl.create 64 in
+         Hashtbl.iter
+           (fun k (e : entry) ->
+             Hashtbl.replace named (payload_file k ~crc:e.e_crc) ())
+           t.s_table;
+         List.iter
+           (fun l -> Hashtbl.replace named (payload_file l.l_key ~crc:l.l_crc) ())
+           t.s_lost;
+         sweep dir (fun n ->
+             Filename.check_suffix n ".out" && not (Hashtbl.mem named n)));
       List.length all_dead)
 
 (* --- integrity: verify / scrub --- *)
@@ -561,6 +506,16 @@ let structurally_sound payload =
     with Codec.Error _ -> false
   end
 
+(* Renames [p] aside to [p.corrupt] — quarantine, never deletion; [true]
+   if a file was moved. *)
+let quarantine_file p =
+  (try Sys.file_exists p with Sys_error _ -> false)
+  && (try
+        Sys.rename p (p ^ ".corrupt");
+        Obs.Metrics.incr m_quarantined;
+        true
+      with Sys_error _ -> false)
+
 (* The one survey loop under verify and scrub: [`Scrub] also renames
    each bad payload file aside. Callers hold [s_mu]. *)
 let survey t mode =
@@ -571,15 +526,9 @@ let survey t mode =
       c_quarantined = 0; c_lost = 0 }
   | Dir dir ->
     let ok = ref 0 and bad = ref 0 and quarantined = ref 0 in
-    let quarantine key =
-      if mode = `Scrub then
-        let p = payload_path dir key in
-        if (try Sys.file_exists p with Sys_error _ -> false) then
-          try
-            Sys.rename p (p ^ ".corrupt");
-            incr quarantined;
-            Obs.Metrics.incr m_quarantined
-          with Sys_error _ -> ()
+    let quarantine key ~crc =
+      if mode = `Scrub && quarantine_file (payload_path dir key ~crc) then
+        incr quarantined
     in
     List.iter
       (fun key ->
@@ -588,19 +537,19 @@ let survey t mode =
         | Some e ->
           let copy_ok =
             structurally_sound e.e_payload
-            && (match read_file (payload_path dir key) with
+            && (match read_file (payload_path dir key ~crc:e.e_crc) with
                 | exception Sys_error _ -> false
                 | bytes -> bytes = e.e_payload)
           in
           if copy_ok then incr ok
           else begin
             incr bad;
-            quarantine key
+            quarantine key ~crc:e.e_crc
           end)
       (List.rev t.s_order);
     (* lost rows have no valid bytes anywhere; scrub still moves the
        wreckage aside *)
-    List.iter (fun l -> quarantine l.l_key) t.s_lost;
+    List.iter (fun l -> quarantine l.l_key ~crc:l.l_crc) t.s_lost;
     { c_entries = Hashtbl.length t.s_table; c_copies_ok = !ok;
       c_copies_bad = !bad; c_quarantined = !quarantined;
       c_lost = List.length t.s_lost }
@@ -625,18 +574,16 @@ let quarantine_entry t key =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.s_mu)
     (fun () ->
-      Hashtbl.remove t.s_table key;
-      t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
-      match t.s_backend with
-      | Memory -> ()
-      | Dir dir ->
-        let p = payload_path dir key in
-        (if (try Sys.file_exists p with Sys_error _ -> false) then
-           try
-             Sys.rename p (p ^ ".corrupt");
-             Obs.Metrics.incr m_quarantined
-           with Sys_error _ -> ());
-        persist t)
+      match Hashtbl.find_opt t.s_table key with
+      | None -> ()
+      | Some e ->
+        Hashtbl.remove t.s_table key;
+        t.s_order <- List.filter (Hashtbl.mem t.s_table) t.s_order;
+        (match t.s_backend with
+         | Memory -> ()
+         | Dir dir ->
+           ignore (quarantine_file (payload_path dir key ~crc:e.e_crc));
+           persist t))
 
 let get_profile t ~program ~key =
   match get t key with

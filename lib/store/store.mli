@@ -14,7 +14,8 @@
     - {e directory} ({!open_dir}) — a [manifest] file with one
       checksummed line per entry
       ([done <key> gen=<g> bytes=<n> payload=<crc> line=<crc>]) plus one
-      atomically-written payload file per entry ([<stem>-<crc>.out]).
+      atomically-written payload file per entry, named by its key and its
+      payload's CRC-32 ([<stem>-<keycrc>-<crc>.out]).
 
     The backend contract: {!put} is atomic (temp-file + [rename], payload
     before manifest); loading is salvage-shaped (a torn manifest line and
@@ -23,16 +24,17 @@
     without its checksum. A lost or undecodable entry is a miss: the
     caller recomputes it and the next {!put} rewrites the file.
 
-    {b Durability.} Every multi-file mutation ({!put}, {!gc},
-    {!new_generation}) is logged intent-first in a write-ahead journal
-    ({!Journal}) and committed after its last file is in place. Opening
-    the store replays the journal: a pending put whose payload file holds
-    the intended bytes rolls {e forward} ([journal.recovered]); one whose
-    file does not rolls {e back} (nothing durable existed,
-    [journal.rolled_back]) — so an acknowledged write is never lost and
-    an unacknowledged one is never left half-applied, even under kill -9
-    at an arbitrary byte. Orphaned [*.tmp] files from killed atomic
-    commits are swept on open ([store.orphans_swept]).
+    {b Durability.} The manifest rename is the store's one commit point.
+    A payload file's name carries its bytes' checksum, so a {!put} writes
+    new bytes beside, never over, the bytes a committed row names, then
+    renames the new manifest into place: a crash before that rename
+    leaves the old store, a crash after it the new one. {!new_generation}
+    is the manifest rename alone. {!gc} renames the manifest first and
+    only then removes files no row names, so a crash mid-gc leaves files
+    the next gc removes, never a row without its file. Opening replays
+    nothing; it only sweeps the [*.tmp] files of killed atomic commits
+    ([store.orphans_swept]). An acknowledged write is never lost and an
+    unacknowledged one is never half-applied, even under kill -9.
 
     {b Integrity.} {!verify} is a read-only survey (every entry's payload
     file byte-compared against the loaded payload, v3-framed payloads
@@ -44,15 +46,16 @@
     {b Cost.} Each entry records its payload's length and CRC-32, and
     manifest rows are rendered from those records, so no commit
     re-hashes another entry's bytes. {!put} hashes its payload once,
-    writes it and rewrites the manifest; {!gc} and {!new_generation}
-    rewrite the manifest (gc also deletes the dead entries' files). Each
-    costs its own payload plus one line per manifest row, whatever the
-    size of the store. {!open_dir} reads and hashes every payload once,
-    to check it against its row. {!verify} reads every payload once and
+    writes it and rewrites the manifest; {!new_generation} rewrites the
+    manifest; {!gc} rewrites the manifest when it drops rows and lists
+    the directory once to remove unnamed files. Each costs its own
+    payload plus one line per manifest row, whatever the size of the
+    store. {!open_dir} reads and hashes every payload once, to check it
+    against its row. {!verify} reads every payload once and
     section-walks each v3 payload once. {!get} is a table lookup. The
     invariant behind this: an entry's recorded CRC changes only together
-    with its bytes — on {!put}, on load and on journal roll-forward — and
-    always from bytes just written or just checked against it.
+    with its bytes — on {!put} and on load — and always from bytes just
+    written or just checked against it.
 
     {b Generations.} The manifest carries a generation counter. A writing
     invocation calls {!new_generation} once; entries committed after that
@@ -63,10 +66,12 @@
     {b Telemetry.} [store.hits]/[store.misses]/[store.bytes_written]
     counters and [store.get]/[store.commit]/[store.verify]/[store.scrub]
     spans in {!Obs}; a decode failure in {!get_profile} counts
-    [store.decode_failures]. {!put} carries the ["store.commit"] and
-    ["store.payload.write"] fault sites, loading the ["checkpoint.load"]
-    site, journal appends the ["journal.append"] site — the spots chaos
-    campaigns kill.
+    [store.decode_failures]. Fault sites: {!put} crosses
+    ["store.commit"] first, then ["store.payload.write"] before its
+    payload rename and ["store.orphan"] between its payload and manifest
+    renames; {!gc} crosses ["store.orphan"] between its manifest rename
+    and its file removals; loading crosses ["checkpoint.load"] — the
+    spots chaos campaigns kill.
 
     The store is domain-safe: {!put} is called from pool workers. *)
 
@@ -134,11 +139,11 @@ val check_clean : check -> bool
 val create_mem : unit -> t
 
 (** [open_dir dir] opens (creating [dir] if needed) a directory store:
-    sweeps orphaned [*.tmp] files, loads the surviving manifest entries,
-    and replays the write-ahead journal left by any crashed invocation.
-    [~reset:true] starts empty, committing a fresh manifest and an empty
-    journal (stale payload files are simply unreferenced). Raises
-    [Sys_error] if [dir] exists but is not a directory. *)
+    sweeps orphaned [*.tmp] files and loads the surviving manifest
+    entries. A manifest of another format version loads as empty.
+    [~reset:true] starts empty, committing a fresh manifest (stale
+    payload files are unreferenced until {!gc}). Raises [Sys_error] if
+    [dir] exists but is not a directory. *)
 val open_dir : ?reset:bool -> string -> t
 
 (** The backing directory; [None] for the in-memory backend. *)
@@ -146,8 +151,8 @@ val dir : t -> string option
 
 val generation : t -> int
 
-(** Bumps and persists the generation counter (journaled); returns the
-    new value. Call once per writing invocation. *)
+(** Bumps and persists the generation counter (one manifest rename);
+    returns the new value. Call once per writing invocation. *)
 val new_generation : t -> int
 
 (** Uncounted lookup (no hit/miss telemetry) — for inspection, such as
@@ -158,10 +163,11 @@ val find : t -> string -> string option
     [store.get] span. *)
 val get : t -> string -> string option
 
-(** Commits [payload] under [key] at the current generation: journal
-    intent, then the payload file (atomically), then the manifest, then
-    the journal commit. [key] must not contain newlines; spaces are
-    stored escaped. *)
+(** Commits [payload] under [key] at the current generation: the payload
+    file (atomically, beside any file a row names), then the manifest,
+    whose rename is the commit. It never deletes: a file it replaces in
+    the manifest stays until {!gc}. [key] must not contain newlines;
+    spaces are stored escaped. *)
 val put : t -> key:string -> payload:string -> unit
 
 (** All live entries, sorted by key. *)
@@ -170,9 +176,11 @@ val entries : t -> info list
 val stats : t -> stats
 
 (** [gc t ~keep:n] removes every entry whose write generation is more
-    than [n] generations behind the current one (their payload files
-    included, lost rows too), rewrites the manifest once, and
-    returns the number of entries removed. Journaled. *)
+    than [n] generations behind the current one (lost rows too), rewrites
+    the manifest once, then removes every [*.out] file no remaining row
+    names — the dead entries' files and whatever an overwriting or killed
+    put left behind ([store.orphans_swept]). Returns the number of
+    entries removed. *)
 val gc : t -> keep:int -> int
 
 (** {1 Integrity} *)

@@ -7,10 +7,10 @@
     writing ([Fault.cut ~site:"profile_io.write"]), pool workers
     (["pool.worker"]), supervised job attempts (["supervisor.job"]),
     checkpoint loading (["checkpoint.load"]), shard merging
-    (["shard.merge"]), pool cancellation (["pool.cancel"]), store
-    commits (["store.commit"], ["store.payload.write"]) and
-    write-ahead-journal appends (["journal.append"], a {!cut} site for
-    torn appends) — and lets
+    (["shard.merge"]), pool cancellation (["pool.cancel"]) and store
+    commits (["store.commit"], ["store.payload.write"] and
+    ["store.orphan"], the window between a put's payload and manifest
+    renames or a gc's manifest rename and its removals) — and lets
     a test (or the [VPROF_FAULT] environment variable, for CLI smoke runs
     and the chaos harness) arm any number of them concurrently.
 
@@ -42,8 +42,8 @@ type action =
       (** {!point} SIGKILLs the process — a real kill -9, no handler,
           finalizer or [at_exit] hook runs. The crash-point survival
           harness arms this on ["store.commit"], ["store.payload.write"]
-          and ["journal.append"] to prove recovery invariants against
-          genuine mid-mutation death. Never arm it in-process in a test
+          and ["store.orphan"] to prove the store's crash consistency
+          against genuine mid-mutation death. Never arm it in-process in a test
           runner: the runner dies too — fire it only in subprocesses. *)
 
 (** When an armed site fires. *)
@@ -115,7 +115,7 @@ val seed_env_var : string
     into [Truncate BYTES], or a trailing ["@kill"] turning it into
     {!Kill} (SIGKILL the process at the firing hit).
     E.g. ["supervisor.job@3,machine.step@~0.001,profile_io.write@1@512"]
-    or ["journal.append@2@kill"].
+    or ["store.orphan@1@kill"].
     Raises [Invalid_argument] with the offending entry on a malformed
     spec — including empty entries, which are rejected rather than
     silently ignored. *)

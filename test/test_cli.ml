@@ -561,8 +561,9 @@ let test_store_verify_scrub_recompute_cycle () =
 
 let test_kill_mid_put_never_loses_acknowledged_profile () =
   (* the acceptance scenario: a profile acknowledged by exit 0 must
-     survive a SIGKILL delivered inside any later commit, at every
-     journal/payload/commit site *)
+     survive a SIGKILL delivered inside any later commit, in each window
+     of a put: before anything, before its payload rename, and between
+     its payload and manifest renames *)
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -575,16 +576,14 @@ let test_kill_mid_put_never_loses_acknowledged_profile () =
       let specs =
         [ "store.commit@1@kill";
           "store.payload.write@1@kill";
-          "journal.append@1@kill";
-          "journal.append@2@kill";
-          "journal.append@3@kill";
-          "journal.append@4@kill" ]
+          "store.orphan@1@kill" ]
       in
       List.iteri
         (fun i spec ->
           (* fuel rides the fingerprint, so each spec's victim put is a
-             fresh key — a crash rolled forward must not let later
-             victims hit the cache and skip the site under test *)
+             fresh key — a victim committed by an earlier run must not
+             let a later one hit the cache and skip the site under
+             test *)
           let code, _ =
             run_cli ~env:("VPROF_FAULT=" ^ spec)
               (Printf.sprintf "profile -w go -t 3 --fuel %d --store %s"
@@ -634,6 +633,31 @@ let test_bad_tnv_size () =
 
 let test_bad_clear_interval () =
   check_usage_error "profile -w go --clear-interval=0" "--clear-interval"
+
+(* A failed experiment is reported by one line, worded the same with and
+   without a store. *)
+let test_failure_line_same_with_store () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let failure_lines args =
+        let code, out =
+          run_cli ~env:"VPROF_FAULT=supervisor.job@1"
+            ("experiments e01 --retries 0" ^ args)
+        in
+        Alcotest.(check int) ("exit 1" ^ args) 1 code;
+        List.filter
+          (fun l -> Astring_contains.contains l "FAILED")
+          (String.split_on_char '\n' out)
+      in
+      let plain = failure_lines "" in
+      Alcotest.(check (list string)) "one failure line"
+        [ "experiment e01 FAILED after 1 attempt: injected fault at site \
+           \"supervisor.job\"" ]
+        plain;
+      Alcotest.(check (list string)) "the same line with --store" plain
+        (failure_lines (" --store " ^ Filename.quote dir)))
 
 let suite =
   [ Alcotest.test_case "binary present" `Quick test_binary_present;
@@ -687,4 +711,6 @@ let suite =
     Alcotest.test_case "bad --skip" `Quick test_bad_skip;
     Alcotest.test_case "bad --epsilon" `Quick test_bad_epsilon;
     Alcotest.test_case "bad --tnv-size" `Quick test_bad_tnv_size;
-    Alcotest.test_case "bad --clear-interval" `Quick test_bad_clear_interval ]
+    Alcotest.test_case "bad --clear-interval" `Quick test_bad_clear_interval;
+    Alcotest.test_case "failure line same with --store" `Slow
+      test_failure_line_same_with_store ]

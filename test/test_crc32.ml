@@ -1,5 +1,5 @@
 (* CRC-32, the checksum under every persisted format (v3 sections, store
-   manifest rows, journal records): the standard check values, [sub]
+   manifest rows, payload file names): the standard check values, [sub]
    against [string] over every range of a fixed string, bounds checking,
    and the eight-digit hex spelling the manifests use. *)
 

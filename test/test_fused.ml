@@ -420,6 +420,45 @@ let test_shed_sampler_counts_to_detach () =
       (string_of_int before) events
   | _ -> Alcotest.fail "expected two results"
 
+(* Each member's run is published once, when the fused run is collected:
+   ranking the members for a degradation step reads their counters
+   without publishing them. *)
+let test_members_published_once () =
+  Fun.protect ~finally:Budget.Testing.reset @@ fun () ->
+  Budget.govern { Budget.no_limits with Budget.degrade = true } @@ fun () ->
+  let prog = tiny_program 200 42 in
+  let members =
+    List.map
+      (fun name -> List.find (fun e -> e.pname = name) roster)
+      [ "trivial"; "profile"; "sample" ]
+  in
+  let published e field =
+    Obs.Metrics.counter_value
+      (Obs.Metrics.counter (Printf.sprintf "profiler.%s.%s" e.pname field))
+  in
+  let before =
+    List.map (fun e -> (published e "runs", published e "events_seen")) members
+  in
+  let machine = Machine.create prog in
+  let live = Fused.attach machine (List.map (fun e -> e.item) members) in
+  (try ignore (Machine.run ~fuel:64 machine)
+   with Machine.Trap (Machine.Fuel_exhausted _) -> ());
+  Budget.Testing.force_step ();
+  ignore (Machine.run machine);
+  let f = Fused.collect live in
+  Alcotest.(check int) "one member shed" 1 (List.length f.Fused.shed);
+  List.iteri
+    (fun i e ->
+      let runs0, seen0 = List.nth before i in
+      let c = List.nth f.Fused.counters i in
+      Alcotest.(check int) (e.pname ^ ": one run") (runs0 + 1)
+        (published e "runs");
+      Alcotest.(check int)
+        (e.pname ^ ": its own events")
+        (seen0 + c.Counters.events_seen)
+        (published e "events_seen"))
+    members
+
 let suite =
   [ Alcotest.test_case "co-attached profilers see every event" `Quick
       test_coattached_profilers_see_every_event;
@@ -434,4 +473,6 @@ let suite =
       test_degrade_keeps_last_member;
     QCheck_alcotest.to_alcotest prop_fused_matches_solo;
     Alcotest.test_case "a shed sampler counts events up to its detach" `Quick
-      test_shed_sampler_counts_to_detach ]
+      test_shed_sampler_counts_to_detach;
+    Alcotest.test_case "each member's run is published once" `Quick
+      test_members_published_once ]

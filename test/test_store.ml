@@ -1,7 +1,8 @@
 (* The profile store: fingerprint keys, both backends' get/put/reload
    behavior, checksum distrust, salvage-shaped loading, generations + gc,
-   the profile-entry layer (v3 bytes), recompute after corruption, and
-   every path that replaces an entry's bytes. *)
+   the profile-entry layer (v3 bytes), recompute after corruption, every
+   path that replaces an entry's bytes, and crashes in each commit
+   window. *)
 
 let temp_dir () =
   let path = Filename.temp_file "vprof_store" "" in
@@ -440,43 +441,61 @@ let test_decode_failure_quarantined_on_disk () =
       Alcotest.(check (option string)) "absent after reopen" None
         (Store.find s' "p"))
 
+(* Runs [f] with [site] armed to raise on its next hit, and requires it
+   to fire: the in-process stand-in for a crash at that site. *)
+let interrupted ~site f =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  Fault.arm ~site ~at:1 ();
+  match ignore (f ()) with
+  | () -> Alcotest.failf "%s never fired" site
+  | exception Fault.Injected _ -> ()
+
+(* Reopens [dir] and requires a sound store: verify clean, nothing lost. *)
+let reopen_sound ~ctx dir =
+  let s = Store.open_dir dir in
+  Alcotest.(check bool) (ctx ^ ": verify clean") true
+    (Store.check_clean (Store.verify s));
+  Alcotest.(check int) (ctx ^ ": nothing lost") 0 (Store.stats s).Store.st_lost;
+  s
+
 (* --- paths that replace an entry's bytes ----------------------------
 
-   Each installs new bytes under an existing key. The manifest row written
-   afterwards must carry the checksum of the new bytes: a stale one would
-   not match the file on the next open, and the entry would come back
-   lost. *)
+   Each installs new bytes under an existing key. The new bytes go to a
+   file of their own, so the old row stays sound until the manifest
+   rename, and the row written then carries the new bytes' checksum. *)
 
 let test_roll_forward_over_existing_entry () =
   with_dir (fun dir ->
       let s = Store.open_dir dir in
       Store.put s ~key:"k" ~payload:"old bytes";
-      (* a crash mid-put of new bytes: the journal holds the intent, the
-         payload file already has the new bytes, the manifest still
-         describes the old ones *)
+      (* a crash between the payload and the manifest renames *)
       let fresh = "new bytes, longer than the old" in
-      Journal.append_intent ~dir
-        (Journal.Put
-           { key = "k"; gen = Store.generation s; bytes = String.length fresh;
-             crc = Crc32.string fresh });
-      let name = List.hd (payload_files dir) in
-      write_file (Filename.concat dir name) fresh;
-      let s' = Store.open_dir dir in
-      Alcotest.(check (option string)) "rolled forward" (Some fresh)
-        (Store.find s' "k");
-      let s'' = Store.open_dir dir in
-      Alcotest.(check (option string)) "still served after a second reopen"
-        (Some fresh) (Store.find s'' "k");
-      Alcotest.(check bool) "verify clean" true
-        (Store.check_clean (Store.verify s''));
-      Alcotest.(check int) "nothing lost" 0 (Store.stats s'').Store.st_lost)
+      interrupted ~site:"store.orphan" (fun () ->
+          Store.put s ~key:"k" ~payload:fresh);
+      let s = reopen_sound ~ctx:"before the manifest rename" dir in
+      Alcotest.(check (option string)) "old bytes served" (Some "old bytes")
+        (Store.find s "k");
+      Alcotest.(check int) "new bytes beside the old" 2
+        (List.length (payload_files dir));
+      Store.put s ~key:"k" ~payload:fresh;
+      let s = reopen_sound ~ctx:"after the manifest rename" dir in
+      Alcotest.(check (option string)) "new bytes served" (Some fresh)
+        (Store.find s "k");
+      ignore (Store.gc s ~keep:1);
+      Alcotest.(check int) "gc removes the replaced file" 1
+        (List.length (payload_files dir)))
 
-(* Random commit sequences against a model: a key maps to the bytes and
-   the generation of its last put. *)
+(* Random commit sequences against a model: each live key's bytes and
+   write generation, and the current generation. Each case arms one
+   commit-path fault site to raise on its next hit from a random op on;
+   the store reopened after it fires must equal the model before or
+   after the interrupted op. *)
 type op = Put of int * string | Gc of int | New_generation | Reopen
 
 (* a space and a '%' exercise the manifest's key escaping *)
 let model_keys = [| "a"; "b key"; "c%20"; "d" |]
+
+let commit_sites = [| "store.commit"; "store.payload.write"; "store.orphan" |]
 
 let gen_payload =
   let open QCheck.Gen in
@@ -497,90 +516,245 @@ let gen_op =
        map2 (fun k p -> Put (k, p))
          (int_bound (Array.length model_keys - 1))
          gen_payload);
-      (1, map (fun keep -> Gc keep) (int_bound 3));
+      (2, map (fun keep -> Gc keep) (int_bound 3));
       (2, return New_generation);
       (2, return Reopen) ]
 
-let print_case ops =
-  Printf.sprintf "[%s]"
-    (String.concat "; "
-       (List.map
-          (function
-            | Put (k, p) ->
-              Printf.sprintf "put %S (%d bytes)" model_keys.(k) (String.length p)
-            | Gc keep -> Printf.sprintf "gc ~keep:%d" keep
-            | New_generation -> "new_generation"
-            | Reopen -> "reopen")
-          ops))
+let gen_case =
+  let open QCheck.Gen in
+  pair
+    (list_size (int_range 1 25) gen_op)
+    (pair (int_bound (Array.length commit_sites - 1)) (int_bound 24))
+
+let print_op = function
+  | Put (k, p) ->
+    Printf.sprintf "put %S (%d bytes)" model_keys.(k) (String.length p)
+  | Gc keep -> Printf.sprintf "gc ~keep:%d" keep
+  | New_generation -> "new_generation"
+  | Reopen -> "reopen"
+
+let print_case (ops, (site, from)) =
+  Printf.sprintf "[%s] with %s armed from op %d"
+    (String.concat "; " (List.map print_op ops))
+    commit_sites.(site) from
+
+(* The model after [op]: live keys sorted, each with its bytes and write
+   generation, and the current generation. *)
+let step (m, gen) = function
+  | Put (k, p) ->
+    let key = model_keys.(k) in
+    (List.sort compare ((key, (p, gen)) :: List.remove_assoc key m), gen)
+  | Gc keep -> (List.filter (fun (_, (_, g)) -> g > gen - keep) m, gen)
+  | New_generation -> (m, gen + 1)
+  | Reopen -> (m, gen)
+
+let live s =
+  List.map
+    (fun (i : Store.info) -> (i.Store.i_key, i.i_gen, i.i_bytes))
+    (Store.entries s)
+
+let matches s (m, gen) =
+  live s = List.map (fun (k, (p, g)) -> (k, g, String.length p)) m
+  && Array.for_all
+       (fun k -> Store.find s k = Option.map fst (List.assoc_opt k m))
+       model_keys
+  && Store.generation s = gen
 
 let prop_commits_match_model =
-  QCheck.Test.make ~count:40
+  QCheck.Test.make ~count:100
     ~name:"put/overwrite/gc/generation/reopen sequences match a model"
-    (QCheck.make ~print:print_case
-       QCheck.Gen.(list_size (int_range 1 25) gen_op))
-    (fun ops ->
+    (QCheck.make ~print:print_case gen_case)
+    (fun (ops, (site, from)) ->
       let dir = temp_dir () in
       Fun.protect
-        ~finally:(fun () -> rm_rf dir)
+        ~finally:(fun () ->
+          Fault.disarm ();
+          rm_rf dir)
         (fun () ->
           let s = ref (Store.open_dir dir) in
-          let model = Hashtbl.create 8 in
-          let gen = ref 0 in
-          let reopen () =
-            s := Store.open_dir dir;
-            let want =
-              Hashtbl.fold
-                (fun k (p, g) acc -> (k, g, String.length p) :: acc)
-                model []
-              |> List.sort compare
-            in
-            let got =
-              List.map
-                (fun (i : Store.info) -> (i.Store.i_key, i.i_gen, i.i_bytes))
-                (Store.entries !s)
-            in
-            if got <> want then
-              QCheck.Test.fail_reportf "live keys: got [%s], want [%s]"
-                (String.concat "; " (List.map (fun (k, _, _) -> k) got))
-                (String.concat "; " (List.map (fun (k, _, _) -> k) want));
-            Array.iter
-              (fun k ->
-                let want = Option.map fst (Hashtbl.find_opt model k) in
-                if Store.find !s k <> want then
-                  QCheck.Test.fail_reportf "key %S served the wrong bytes" k)
-              model_keys;
-            if Store.generation !s <> !gen then
-              QCheck.Test.fail_reportf "generation %d, want %d"
-                (Store.generation !s) !gen;
+          let sound what =
             if not (Store.check_clean (Store.verify !s)) then
-              QCheck.Test.fail_reportf "verify is not clean";
+              QCheck.Test.fail_reportf "%s: verify is not clean" what;
             if (Store.stats !s).Store.st_lost <> 0 then
-              QCheck.Test.fail_reportf "%d lost rows"
+              QCheck.Test.fail_reportf "%s: %d lost rows" what
                 (Store.stats !s).Store.st_lost
           in
-          List.iter
-            (function
-              | Put (k, payload) ->
-                Store.put !s ~key:model_keys.(k) ~payload;
-                Hashtbl.replace model model_keys.(k) (payload, !gen)
+          let reopen ((m, gen) as model) =
+            s := Store.open_dir dir;
+            if not (matches !s model) then
+              QCheck.Test.fail_reportf
+                "live keys: got [%s] at generation %d, want [%s] at %d"
+                (String.concat "; " (List.map (fun (k, _, _) -> k) (live !s)))
+                (Store.generation !s)
+                (String.concat "; " (List.map fst m))
+                gen;
+            sound "reopen"
+          in
+          let apply model op =
+            let after = step model op in
+            match
+              match op with
+              | Put (k, payload) -> Store.put !s ~key:model_keys.(k) ~payload
               | Gc keep ->
-                let dead =
-                  Hashtbl.fold
-                    (fun k (_, g) acc -> if g <= !gen - keep then k :: acc else acc)
-                    model []
-                in
-                List.iter (Hashtbl.remove model) dead;
                 let removed = Store.gc !s ~keep in
-                if removed <> List.length dead then
+                let want = List.length (fst model) - List.length (fst after) in
+                if removed <> want then
                   QCheck.Test.fail_reportf "gc ~keep:%d removed %d, want %d"
-                    keep removed (List.length dead)
-              | New_generation ->
-                incr gen;
-                ignore (Store.new_generation !s)
-              | Reopen -> reopen ())
-            ops;
-          reopen ();
+                    keep removed want
+              | New_generation -> ignore (Store.new_generation !s)
+              | Reopen -> reopen after
+            with
+            | () -> after
+            | exception Fault.Injected site ->
+              (* the crash: what reopens is one side of the op *)
+              s := Store.open_dir dir;
+              let model =
+                if matches !s model then model
+                else if matches !s after then after
+                else
+                  QCheck.Test.fail_reportf
+                    "after %s fired in %s the store matches neither side" site
+                    (print_op op)
+              in
+              sound ("after " ^ site);
+              model
+          in
+          let model =
+            List.fold_left
+              (fun (i, model) op ->
+                if i = from then Fault.arm ~site:commit_sites.(site) ~at:1 ();
+                (i + 1, apply model op))
+              (0, ([], 0))
+              ops
+            |> snd
+          in
+          reopen model;
+          (* a completed gc leaves only files a row names *)
+          Fault.disarm ();
+          let model = apply model (Gc 1) in
+          reopen model;
+          let files = List.length (payload_files dir) in
+          if files <> List.length (fst model) then
+            QCheck.Test.fail_reportf "%d payload files for %d rows after gc"
+              files (List.length (fst model));
           true))
+
+(* --- crash windows ---------------------------------------------------
+
+   The manifest rename is the one commit point: a crash before it leaves
+   the old store, after it the new one, and a file no row names is the
+   only leftover either way. *)
+
+(* A put is durable once its manifest rename lands: its entry, with its
+   generation, is served after a crash in the next put. *)
+let test_recovery_rolls_forward () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      for _ = 1 to 9 do
+        ignore (Store.new_generation s)
+      done;
+      Store.put s ~key:"k" ~payload:"hello-payload";
+      interrupted ~site:"store.orphan" (fun () ->
+          Store.put s ~key:"next" ~payload:"never committed");
+      let s = reopen_sound ~ctx:"reopened" dir in
+      Alcotest.(check (option string))
+        "rolled forward" (Some "hello-payload") (Store.find s "k");
+      Alcotest.(check (option string)) "the interrupted put is absent" None
+        (Store.find s "next");
+      Alcotest.(check (list int)) "its generation" [ 9 ]
+        (List.map (fun (i : Store.info) -> i.Store.i_gen) (Store.entries s)))
+
+(* A put that dies before its payload rename leaves nothing durable: the
+   acknowledged entry is untouched and no payload file is added. *)
+let test_recovery_rolls_back () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"k" ~payload:"old";
+      let files = payload_files dir in
+      List.iter
+        (fun site ->
+          interrupted ~site (fun () -> Store.put s ~key:"k" ~payload:"new");
+          let s = reopen_sound ~ctx:site dir in
+          Alcotest.(check (option string))
+            (site ^ ": old entry survives") (Some "old") (Store.find s "k");
+          Alcotest.(check (list string))
+            (site ^ ": no payload file added") files (payload_files dir))
+        [ "store.commit"; "store.payload.write" ])
+
+(* A gc that dies between its manifest rename and its removals has
+   dropped its rows; the files they named wait for the next gc. *)
+let test_recovery_completes_gc () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"drop" ~payload:"dd";
+      ignore (Store.new_generation s);
+      Store.put s ~key:"keep" ~payload:"kk";
+      interrupted ~site:"store.orphan" (fun () -> Store.gc s ~keep:1);
+      let s = reopen_sound ~ctx:"after the crash" dir in
+      Alcotest.(check (option string)) "kept" (Some "kk") (Store.find s "keep");
+      Alcotest.(check (option string)) "dropped" None (Store.find s "drop");
+      Alcotest.(check int) "its file outlives the crash" 2
+        (List.length (payload_files dir));
+      let o0 = counter_value "store.orphans_swept" in
+      Alcotest.(check int) "the next gc drops no row" 0 (Store.gc s ~keep:1);
+      Alcotest.(check int) "but removes the file" 1
+        (List.length (payload_files dir));
+      Alcotest.(check int) "counted" (o0 + 1)
+        (counter_value "store.orphans_swept"))
+
+(* Opening replays nothing: after a put dies between its renames, every
+   open sees the same store and leaves the unnamed file alone, and the
+   retried put commits that same file. *)
+let test_recovery_is_idempotent () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      interrupted ~site:"store.orphan" (fun () ->
+          Store.put s ~key:"k" ~payload:"payload-bytes");
+      let files = payload_files dir in
+      Alcotest.(check int) "the payload file is on disk" 1 (List.length files);
+      for i = 1 to 2 do
+        let ctx = Printf.sprintf "open %d" i in
+        let s = reopen_sound ~ctx dir in
+        Alcotest.(check (option string)) (ctx ^ ": not committed") None
+          (Store.find s "k");
+        Alcotest.(check (list string)) (ctx ^ ": file left alone") files
+          (payload_files dir)
+      done;
+      Store.put (Store.open_dir dir) ~key:"k" ~payload:"payload-bytes";
+      let s = reopen_sound ~ctx:"after the retry" dir in
+      Alcotest.(check (option string))
+        "still there" (Some "payload-bytes") (Store.find s "k");
+      Alcotest.(check int) "one entry, not two" 1
+        (List.length (Store.entries s));
+      Alcotest.(check (list string)) "the retry committed the same file" files
+        (payload_files dir))
+
+(* A generation bump is one manifest rename: it survives a crash in the
+   put after it. *)
+let test_generation_survives_crash () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"k" ~payload:"v";
+      let g = Store.new_generation s in
+      interrupted ~site:"store.orphan" (fun () ->
+          Store.put s ~key:"k2" ~payload:"w");
+      Alcotest.(check int) "generation persisted" g
+        (Store.generation (Store.open_dir dir)))
+
+(* A store written under the previous manifest version (payload files
+   named by key alone) opens empty and sound rather than as lost rows,
+   and gc removes its files. *)
+let test_old_version_opens_empty () =
+  with_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let old = Filename.concat dir "full.go.test-0a1b2c3d-5e6f7a8b.out" in
+      write_file old "payload";
+      write_file (manifest dir) "vprof-store 1\n";
+      let s = reopen_sound ~ctx:"version 1" dir in
+      Alcotest.(check int) "no entries" 0 (Store.stats s).Store.st_entries;
+      Alcotest.(check int) "nothing to drop" 0 (Store.gc s ~keep:1);
+      Alcotest.(check bool) "gc removes the old file" false
+        (Sys.file_exists old))
 
 let suite =
   [ Alcotest.test_case "fingerprint key stable and distinct" `Quick
@@ -624,4 +798,15 @@ let suite =
       test_decode_failure_quarantined_on_disk;
     Alcotest.test_case "roll-forward over an existing entry" `Quick
       test_roll_forward_over_existing_entry;
-    QCheck_alcotest.to_alcotest prop_commits_match_model ]
+    QCheck_alcotest.to_alcotest prop_commits_match_model;
+    Alcotest.test_case "recovery rolls forward" `Quick
+      test_recovery_rolls_forward;
+    Alcotest.test_case "recovery rolls back" `Quick test_recovery_rolls_back;
+    Alcotest.test_case "recovery completes gc" `Quick
+      test_recovery_completes_gc;
+    Alcotest.test_case "recovery is idempotent" `Quick
+      test_recovery_is_idempotent;
+    Alcotest.test_case "generation bump survives a crash" `Quick
+      test_generation_survives_crash;
+    Alcotest.test_case "old manifest version opens empty" `Quick
+      test_old_version_opens_empty ]

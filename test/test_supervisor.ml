@@ -151,11 +151,16 @@ let test_timeout_then_fuel_backoff () =
       ~policy:{ Supervisor.default_policy with retries = 0 }
       ~jobs:1 [ job ]
   in
-  match rep.Supervisor.outcomes with
-  | [ { Supervisor.o_result = Error (Supervisor.Timeout 64); o_attempts = 1; _ } ]
-    -> ()
-  | [ o ] -> Alcotest.failf "expected Timeout 64, got %s" (result_label o)
-  | _ -> Alcotest.fail "expected one outcome"
+  (match rep.Supervisor.outcomes with
+   | [ { Supervisor.o_result = Error (Supervisor.Timeout 64); o_attempts = 1; _ } ]
+     -> ()
+   | [ o ] -> Alcotest.failf "expected Timeout 64, got %s" (result_label o)
+   | _ -> Alcotest.fail "expected one outcome");
+  (* the policy's budget doubles exactly per retry *)
+  Alcotest.(check (option int)) "exact doubling" (Some 8000)
+    (Supervisor.Testing.attempt_fuel
+       { Supervisor.default_policy with fuel_timeout = Some 1000 }
+       ~base:None 3)
 
 let test_skip_keeps_partial_results () =
   let rep =
@@ -335,47 +340,6 @@ let test_fused_results_equal_unfused () =
 
 (* ---- resource governance under supervision ------------------------ *)
 
-let test_max_fuel_caps_backoff () =
-  let policy =
-    { Supervisor.default_policy with
-      fuel_timeout = Some 64; max_fuel = Some 200 }
-  in
-  let fuel k = Supervisor.Testing.attempt_fuel policy ~name:"j" ~base:None k in
-  Alcotest.(check (option int)) "attempt 0 uses the base" (Some 64) (fuel 0);
-  Alcotest.(check (option int)) "attempt 1 doubles" (Some 128) (fuel 1);
-  Alcotest.(check (option int)) "attempt 2 hits the cap" (Some 200) (fuel 2);
-  Alcotest.(check (option int)) "later attempts stay capped" (Some 200)
-    (fuel 5);
-  (* an explicit per-job base obeys the same cap *)
-  Alcotest.(check (option int)) "per-job base capped" (Some 200)
-    (Supervisor.Testing.attempt_fuel policy ~name:"j" ~base:(Some 150) 1)
-
-let test_backoff_jitter_deterministic () =
-  let policy =
-    { Supervisor.default_policy with
-      fuel_timeout = Some 1000; jitter = 0.5 }
-  in
-  let fuel ~name k = Supervisor.Testing.attempt_fuel policy ~name ~base:None k in
-  (* attempt 0 is never jittered: the first budget is exactly what the
-     caller asked for *)
-  Alcotest.(check (option int)) "attempt 0 exact" (Some 1000)
-    (fuel ~name:"a" 0);
-  (match fuel ~name:"a" 1 with
-   | Some f ->
-     Alcotest.(check bool) "jitter widens within [1, 1.5)" true
-       (f >= 2000 && f < 3000)
-   | None -> Alcotest.fail "expected a budget");
-  Alcotest.(check (option int)) "same (name, k), same draw" (fuel ~name:"a" 3)
-    (fuel ~name:"a" 3);
-  (* zero jitter (the default) keeps the legacy exact doubling *)
-  let exact =
-    Supervisor.Testing.attempt_fuel
-      { policy with Supervisor.jitter = 0. }
-      ~name:"a" ~base:None 3
-  in
-  Alcotest.(check (option int)) "jitter off is exact doubling" (Some 8000)
-    exact
-
 let governed f = Fun.protect ~finally:Budget.Testing.reset f
 
 let test_deadline_fails_job_and_cancels_rest () =
@@ -470,10 +434,6 @@ let suite =
       test_fused_retry_reruns_whole_unit;
     Alcotest.test_case "fused results equal unfused" `Quick
       test_fused_results_equal_unfused;
-    Alcotest.test_case "max_fuel caps backoff" `Quick
-      test_max_fuel_caps_backoff;
-    Alcotest.test_case "backoff jitter is deterministic" `Quick
-      test_backoff_jitter_deterministic;
     Alcotest.test_case "deadline fails job, cancels rest" `Quick
       test_deadline_fails_job_and_cancels_rest;
     Alcotest.test_case "mem pressure classified and retried" `Quick

@@ -22,29 +22,30 @@
 
    With --kill-loop the harness instead runs the crash-point survival
    campaign: a store is seeded with an acknowledged profile, then the
-   real binary is SIGKILLed (Fault.Kill, a genuine kill -9) at every
-   commit-path site and torn (Fault.Truncate) at every byte offset of
-   every write-ahead-journal append; after each crash the store is
-   reopened and three invariants are asserted — `store verify` exits 0,
-   a warm run of the seeded workload is still served from cache (no
-   acknowledged profile lost), and the reopening run itself exits
-   cleanly (no partial mutation survives recovery). A checkpointed
-   suite killed at its first store.commit must rerun to byte-identical
-   reference output, and a gc killed mid-journal-append must complete
-   its removals on reopen.
+   real binary is SIGKILLed (Fault.Kill, a genuine kill -9) in each
+   window of a put — before anything, before its payload rename, and
+   between its payload and manifest renames; after each crash the
+   store is reopened and two invariants are asserted — `store verify`
+   exits 0 and a warm run of the seeded workload is still served from
+   cache (no acknowledged profile lost). A `store gc` killed between
+   its manifest rename and its file removals must leave a store that
+   verifies clean and serves what it kept, and the next gc must leave
+   only payload files a manifest row names. A checkpointed suite killed
+   at its first store.commit must rerun to byte-identical reference
+   output.
 
    Every subprocess runs under coreutils `timeout` (the hard deadline):
    exit 124 means the binary hung, which fails the campaign on its own.
 
    Usage: chaos [--vprof PATH] [--seeds N,N,...] [--report FILE]
-                [--timeout SECONDS] [--kill-loop] [--stride N]
+                [--timeout SECONDS] [--kill-loop]
    Exit codes: 0 all campaigns passed, 1 at least one assertion failed,
    2 usage error. *)
 
 let usage () =
   prerr_endline
     "usage: chaos [--vprof PATH] [--seeds N,N,...] [--report FILE] \
-     [--timeout SECONDS] [--kill-loop] [--stride N]";
+     [--timeout SECONDS] [--kill-loop]";
   exit 2
 
 type opts = {
@@ -53,7 +54,6 @@ type opts = {
   mutable report : string option;
   mutable timeout : int;
   mutable kill_loop : bool;
-  mutable stride : int;
 }
 
 let parse_args () =
@@ -62,8 +62,7 @@ let parse_args () =
       seeds = [ 101; 202; 303 ];
       report = None;
       timeout = 120;
-      kill_loop = false;
-      stride = 1 }
+      kill_loop = false }
   in
   let rec go = function
     | [] -> o
@@ -90,11 +89,6 @@ let parse_args () =
       go rest
     | "--kill-loop" :: rest ->
       o.kill_loop <- true;
-      go rest
-    | "--stride" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some s when s > 0 -> o.stride <- s
-       | _ -> usage ());
       go rest
     | _ -> usage ()
   in
@@ -171,7 +165,7 @@ let sites =
      ("checkpoint.load", 1, 2);
      ("shard.merge", 1, 2);
      ("store.commit", 1, 4);
-     ("journal.append", 1, 8) |]
+     ("store.orphan", 1, 4) |]
 
 let random_schedule rng =
   let picks = 1 + Rng.int rng 3 in
@@ -332,8 +326,8 @@ let write_text path text =
 
 (* Two tiny assembly pseudo-workloads (the CLI accepts .vasm paths as
    workloads): distinct basenames and bodies, so their store fingerprints
-   can never alias. Each executes in microseconds, which is what lets
-   the loop afford hundreds of crash-reopen-verify iterations. *)
+   can never alias. Each executes in microseconds, which keeps every
+   crash-reopen-verify iteration cheap. *)
 let seeded_program =
   ".entry main\n.proc main\n  ldi t0, #3\n  add t1, t0, t0\n  add t2, t1, t0\n\
   \  halt\n.end\n"
@@ -372,60 +366,45 @@ let kill_campaign opts seed =
       else begin
         record ~seed ~name:"kill-seed" true "store seeded (exit 0)";
         let iters = ref 0 and failures = ref [] in
-        (* one crash-reopen-verify iteration: the victim run dies under
-           [spec]; reopening must leave a store that verifies clean and
-           still serves the seeded profile from cache *)
+        let warm_hit w =
+          let warm_err = Filename.concat dir "warm.err" in
+          let wcode =
+            run_vprof opts ~out ~err:warm_err
+              [ "profile"; "-w"; w; "--store"; st ]
+          in
+          wcode = 0
+          && (match read_file warm_err with
+              | Some e -> contains ~needle:"store: hit" e
+              | None -> false)
+        in
+        let verify () =
+          run_vprof opts ~out ~err [ "store"; "verify"; "--store"; st ]
+        in
+        (* one crash-reopen-verify iteration: the victim run is SIGKILLed
+           under [spec]; reopening must leave a store that verifies clean
+           and still serves the seeded profile from cache *)
         let crash_and_check spec =
           incr iters;
           let ccode =
             run_vprof opts ~fault:spec ~fault_seed:seed ~out ~err
               [ "profile"; "-w"; victim; "--store"; st ]
           in
-          (* 137 = SIGKILLed at the site, 1 = injected torn write, 0 =
-             the spec's hit count exceeded what this run crosses *)
-          let ccode_ok = ccode = 0 || ccode = 1 || ccode = 137 in
-          let vcode =
-            run_vprof opts ~out ~err [ "store"; "verify"; "--store"; st ]
-          in
-          let warm_err = Filename.concat dir "warm.err" in
-          let wcode =
-            run_vprof opts ~out ~err:warm_err
-              [ "profile"; "-w"; seeded; "--store"; st ]
-          in
-          let warm_hit =
-            match read_file warm_err with
-            | Some e -> contains ~needle:"store: hit" e
-            | None -> false
-          in
-          if not (ccode_ok && vcode = 0 && wcode = 0 && warm_hit) then
+          let vcode = verify () in
+          let hit = warm_hit seeded in
+          if not (ccode = 137 && vcode = 0 && hit) then
             failures :=
               Printf.sprintf
-                "%s: crash exit %d, verify exit %d (want 0), warm exit %d \
+                "%s: crash exit %d (want 137), verify exit %d (want 0), \
                  seeded entry %s"
-                spec ccode vcode wcode
-                (if warm_hit then "hit" else "LOST")
+                spec ccode vcode
+                (if hit then "served" else "LOST")
               :: !failures
         in
-        (* whole-process kills at every commit-path site: before the
-           journal intent, before the payload write, and at each of the
-           run's journal appends (generation intent/commit, put
-           intent/commit) *)
+        (* a put's windows: before anything, before its payload rename,
+           between its payload and manifest renames *)
         List.iter crash_and_check
-          ([ "store.commit@1@kill"; "store.payload.write@1@kill" ]
-           @ List.init 4 (fun i ->
-                 Printf.sprintf "journal.append@%d@kill" (i + 1)));
-        (* torn journal appends: the append stops at byte B and the
-           process dies. 96 comfortably exceeds the longest record this
-           run appends, so the walk covers every prefix of every record
-           plus the crash-after-complete-append case. *)
-        let max_cut = 96 in
-        for hit = 1 to 4 do
-          let b = ref 0 in
-          while !b <= max_cut do
-            crash_and_check (Printf.sprintf "journal.append@%d@%d" hit !b);
-            b := !b + opts.stride
-          done
-        done;
+          [ "store.commit@1@kill"; "store.payload.write@1@kill";
+            "store.orphan@1@kill" ];
         record ~seed ~name:"kill-loop" (!failures = [])
           (match !failures with
            | [] ->
@@ -434,25 +413,59 @@ let kill_campaign opts seed =
                !iters
            | f :: rest ->
              Printf.sprintf "%d of %d crash points failed; first: %s"
-               (List.length !failures + 0) !iters
+               (List.length !failures) !iters
                (if rest = [] then f else f ^ " (+ more)"));
-        (* a gc killed mid-intent-append must complete its removals on
-           reopen (the seeded entry may legitimately be collected here,
-           so this runs last and only asserts integrity) *)
+        (* a gc killed between its manifest rename and its removals: the
+           victim, committed last, is kept; the seeded entry, older than
+           the last generation, is dropped *)
+        let pcode =
+          run_vprof opts ~out ~err [ "profile"; "-w"; victim; "--store"; st ]
+        in
         let gcode =
-          run_vprof opts ~fault:"journal.append@1@kill" ~fault_seed:seed ~out
+          run_vprof opts ~fault:"store.orphan@1@kill" ~fault_seed:seed ~out
             ~err
             [ "store"; "gc"; "--store"; st; "--keep"; "1" ]
         in
-        let vcode =
-          run_vprof opts ~out ~err [ "store"; "verify"; "--store"; st ]
+        (* payload files on disk, and manifest rows naming one *)
+        let files_and_rows () =
+          let files =
+            Array.fold_left
+              (fun n f -> if Filename.check_suffix f ".out" then n + 1 else n)
+              0 (Sys.readdir st)
+          in
+          let rows =
+            match read_file (Filename.concat st "manifest") with
+            | None -> 0
+            | Some m ->
+              List.length
+                (List.filter
+                   (fun l -> String.starts_with ~prefix:"done " l)
+                   (String.split_on_char '\n' m))
+          in
+          (files, rows)
         in
+        let files, rows = files_and_rows () in
+        let vcode = verify () in
+        let kept = warm_hit victim in
         record ~seed ~name:"kill-gc"
-          ((gcode = 0 || gcode = 137) && vcode = 0)
+          (pcode = 0 && gcode = 137 && files > rows && vcode = 0 && kept)
           (Printf.sprintf
-             "gc under journal kill -> exit %d (want 0|137), verify exit %d \
-              (want 0)"
-             gcode vcode)
+             "gc killed after its manifest rename -> exit %d (want 137), %d \
+              payload files for %d rows, verify exit %d (want 0), kept \
+              entry %s"
+             gcode files rows vcode
+             (if kept then "served" else "LOST"));
+        (* the next gc removes every file the crashes left unnamed *)
+        let gcode =
+          run_vprof opts ~out ~err
+            [ "store"; "gc"; "--store"; st; "--keep"; "1000" ]
+        in
+        let files, rows = files_and_rows () in
+        record ~seed ~name:"kill-gc"
+          (gcode = 0 && files = rows)
+          (Printf.sprintf
+             "clean gc -> exit %d (want 0), %d payload files for %d rows" gcode
+             files rows)
       end;
       (* a supervised suite killed at its first store commit: a
          fault-free rerun against the same directory must reproduce the
