@@ -42,8 +42,9 @@ type 'a t = {
           observation, observed only up to its detach point. *)
 }
 
-(** Attach every member to the machine (in list order; observers at a
-    shared pc fire in that order).
+(** Attach every member to the machine, in list order. At a shared pc an
+    execution goes to the members' plain observers in that order, then to
+    their gates that are due, in that order (see {!Machine.add_hook}).
 
     Under an armed {!Budget} with [degrade = true], the fused run also
     subscribes to degradation steps: each step drops the most expensive

@@ -35,11 +35,16 @@ type gate = {
 (* A per-pc subscriber, kept in attach order. *)
 type subscriber = Plain of hook | Gated of gate
 
-(* What the executor loads at a pc. A dispatcher's [due] folds its gates'
-   thresholds in: 0 while any plain subscriber listens, so a plain hook
-   pays one compare, and otherwise the earliest exec count any gate
-   wants, so an execution no gate wants stops at that compare. *)
-type dispatch = Unhooked | Dispatch of { mutable due : int; fire : hook }
+(* What the executor loads at a pc. [Dispatch] serves a pc whose
+   subscribers are of one kind: plain ([due] 0, so a plain hook pays one
+   compare) or gated ([due] the earliest exec count any gate wants, so an
+   execution no gate wants stops at that compare). [Mixed] serves a pc
+   with both: [plain] takes every execution, and [gates] only those that
+   reach [due], the earliest exec count any of the pc's gates wants. *)
+type dispatch =
+  | Unhooked
+  | Dispatch of { mutable due : int; fire : hook }
+  | Mixed of { plain : hook; mutable due : int; gates : hook }
 
 let stack_base = 0x7F0_0000L
 let max_call_depth = 100_000
@@ -179,7 +184,7 @@ type t = {
   mutable depth : int;
   proc_of : int array; (* pc -> proc index, -1 outside any proc *)
   (* What the interpreter dispatches through: at most one dispatcher per
-     point, so the hot path is the same single load + constructor test
+     point, so the hot path is the same single load + constructor match
      whether a point has zero, one, or many observers (see
      [rebuild_hook]). *)
   hooks : dispatch array;
@@ -274,12 +279,11 @@ let call_depth t = t.depth
 
 let caller_pc t = if t.depth = 0 then None else Some (t.ret_pcs.(t.depth - 1) - 1)
 
-(* Additive subscription. A lone plain observer at a point is installed
-   directly, so a singly-instrumented point dispatches straight to the
-   profiler's closure after one compare. Otherwise the dispatcher loops
-   over a flat array of the subscribers in attach order, each gate behind
-   its own threshold; the array is built here, at attach time, so firing
-   never allocates. *)
+(* Additive subscription. A point's plain observers are one hook: a lone
+   one is installed directly, several as a fan-out over a flat array in
+   attach order. Its gates are one more hook that delivers to the gates
+   due, in attach order. Both are built here, at attach time, so firing
+   never allocates beyond the value's box. *)
 
 let record t sub =
   match t.recording with
@@ -294,47 +298,54 @@ let[@inline] due_after count skip =
   else if skip >= max_int - count then max_int
   else count + 1 + skip
 
-let rec earliest_due = function
-  | [] -> max_int
-  | Plain _ :: _ -> 0
-  | Gated g :: rest -> min g.due (earliest_due rest)
+(* The earliest exec count any gate in [subs] wants. *)
+let gates_due subs =
+  List.fold_left
+    (fun due -> function Gated g -> min due g.due | Plain _ -> due)
+    max_int subs
 
+(* Refold the dues of a gated pc's gates into its dispatcher (a
+   [Dispatch] there has no plain subscriber). *)
 let refresh_due t pc =
+  let due = gates_due t.hook_subs.(pc) in
   match Array.unsafe_get t.hooks pc with
   | Unhooked -> ()
-  | Dispatch d -> d.due <- earliest_due t.hook_subs.(pc)
+  | Dispatch d -> d.due <- due
+  | Mixed d -> d.due <- due
 
-(* Deliver to one gate of a point whose dispatcher fired. *)
-let offer t g v a =
-  let count = Array.unsafe_get t.exec_counts g.g_pc in
-  if count >= g.due then g.due <- due_after count (g.g_hook v a)
+(* Deliver the execution of [pc] at hand to each of its gates that wants
+   it. *)
+let offer t pc gates v a =
+  let count = Array.unsafe_get t.exec_counts pc in
+  for i = 0 to Array.length gates - 1 do
+    let g = Array.unsafe_get gates i in
+    if count >= g.due then g.due <- due_after count (g.g_hook v a)
+  done;
+  refresh_due t pc
+
+(* One hook calling [hs] in order. *)
+let fan = function
+  | [ h ] -> h
+  | hs ->
+    let fs = Array.of_list hs in
+    fun v a ->
+      for i = 0 to Array.length fs - 1 do
+        (Array.unsafe_get fs i) v a
+      done
 
 let rebuild_hook t pc =
+  let subs = t.hook_subs.(pc) in
+  let plain = List.filter_map (function Plain h -> Some h | Gated _ -> None) subs
+  and gates =
+    Array.of_list (List.filter_map (function Gated g -> Some g | Plain _ -> None) subs)
+  in
+  let offer_gates v a = offer t pc gates v a in
   t.hooks.(pc) <-
-    (match t.hook_subs.(pc) with
-     | [] -> Unhooked
-     | [ Plain h ] -> Dispatch { due = 0; fire = h }
-     | subs ->
-       let fs =
-         Array.of_list
-           (List.map
-              (function Plain h -> h | Gated g -> fun v a -> offer t g v a)
-              subs)
-       in
-       let fan v a =
-         for i = 0 to Array.length fs - 1 do
-           (Array.unsafe_get fs i) v a
-         done
-       in
-       if List.exists (function Plain _ -> true | Gated _ -> false) subs then
-         Dispatch { due = 0; fire = fan }
-       else
-         Dispatch
-           { due = earliest_due subs;
-             fire =
-               (fun v a ->
-                 fan v a;
-                 refresh_due t pc) })
+    (match (plain, Array.length gates) with
+     | [], 0 -> Unhooked
+     | _, 0 -> Dispatch { due = 0; fire = fan plain }
+     | [], _ -> Dispatch { due = gates_due subs; fire = offer_gates }
+     | _ -> Mixed { plain = fan plain; due = gates_due subs; gates = offer_gates })
 
 let subscribe t pc s =
   t.hook_subs.(pc) <- t.hook_subs.(pc) @ [ s ];
@@ -390,7 +401,8 @@ let rebase_gates t =
             g.opened <- 0;
             g.due <- g.due - count)
         subs;
-      refresh_due t pc)
+      if List.exists (function Gated _ -> true | Plain _ -> false) subs then
+        refresh_due t pc)
     t.hook_subs
 
 let reset t =
@@ -522,15 +534,19 @@ let[@inline] leave_proc t v =
 
 (* Deliver the per-pc dispatcher. Every arm ends here, after [tick], with
    the value and address it produced (0L where the instruction has none).
-   Both stay unboxed up to this point: they are boxed inside the call
+   Both stay unboxed up to this point: they are boxed inside a call
    only, so a point without subscribers, or an execution every gate there
    withholds, allocates nothing, and a delivered event costs one box per
-   value. [pc] is a real pc here (the sentinel never fires hooks) and
-   [hooks] matches the code array's length. *)
+   value and call ([Mixed] boxes again for gates that are due). [pc] is a
+   real pc here (the sentinel never fires hooks) and [hooks] matches the
+   code array's length. *)
 let[@inline] fire t pc v a =
   match Array.unsafe_get t.hooks pc with
   | Unhooked -> ()
   | Dispatch d -> if Array.unsafe_get t.exec_counts pc >= d.due then d.fire v a
+  | Mixed d ->
+    d.plain v a;
+    if Array.unsafe_get t.exec_counts pc >= d.due then d.gates v a
 
 let[@inline] tick t pc =
   Array.unsafe_set t.exec_counts pc (Array.unsafe_get t.exec_counts pc + 1);

@@ -12,22 +12,25 @@
       [v0].
 
     Subscription is {e additive}: every [add_*] call attaches one more
-    observer to the point; observers at the same point fire in attach
-    order. A per-PC observer is {e plain} ({!add_hook}: every execution is
-    delivered) or {e gated} ({!add_gated_hook}: each delivery returns how
-    many following executions of the pc the observer does not want, and
-    the machine withholds those, per observer, so a plain observer at the
-    same pc still sees every event).
+    observer to the point. A per-PC observer is {e plain} ({!add_hook}:
+    every execution is delivered) or {e gated} ({!add_gated_hook}: each
+    delivery returns how many following executions of the pc the
+    observer does not want, and the machine withholds those, per
+    observer, so a plain observer at the same pc still sees every event).
+    An execution goes to the pc's plain observers in attach order, then
+    to the gates it is due for, in attach order; entry and return
+    observers fire in attach order.
 
-    Cost model. The executor loads one dispatcher per pc. An unhooked pc
-    pays one constructor test. The dispatcher carries the earliest exec
-    count any of its observers wants (0 while a plain observer listens),
-    compared against the pc's exec count, which the executor bumps
-    anyway: a single plain observer pays that one compare and one call;
-    several observers dispatch through a fan-out built at attach time
-    that loops over a flat array, each gate there checking its own
-    threshold; an execution every gate at the pc withholds costs the
-    compare and nothing else — no call and no box.
+    Cost model. The executor loads one dispatcher per pc and compares
+    against the pc's exec count, which it bumps anyway. An unhooked pc
+    pays one constructor test. Plain observers are one call: the lone
+    observer's closure, or a fan-out over a flat array built at attach
+    time. A pc with plain observers only pays one compare and that call.
+    A pc with gates only pays one compare against the earliest exec
+    count any of its gates wants, so an execution every gate withholds
+    costs that compare and nothing else — no call and no box. A pc with
+    both calls its plain observers, then pays the same compare, and
+    enters the gate loop only when a gate is due.
 
     Execution model: {!create} decodes the program once into a flat form
     (one opcode per pc that already folds in the ALU operation or branch
@@ -36,7 +39,8 @@
     that form. Registers and memory pages hold raw 64-bit words, so an
     instruction at an uninstrumented pc allocates nothing and runs no
     write barrier. A value is boxed only where a subscriber receives it:
-    one minor allocation per delivered event, withheld events none. *)
+    one minor allocation per delivered event (a pc with both kinds boxes
+    it once more for its gates when one is due), withheld events none. *)
 
 type trap =
   | Div_by_zero of int  (** pc *)
@@ -97,7 +101,8 @@ val call_depth : t -> int
 val caller_pc : t -> int option
 
 (** [add_hook t pc h] subscribes one more per-PC observer at [pc];
-    earlier observers keep firing (in attach order, before [h]). *)
+    earlier observers keep firing (plain ones before [h], in attach
+    order; gates after every plain observer). *)
 val add_hook : t -> int -> hook -> unit
 
 (** Gated per-PC observer: [g value addr] receives one execution, like a
@@ -110,10 +115,11 @@ type gated = int64 -> int64 -> int
 type gate
 
 (** [add_gated_hook t pc g] subscribes [g] at [pc] like {!add_hook} (same
-    attach order, same {!with_attachment} recording, same {!detach}),
-    with the next execution due. Executions [g] declined are withheld
-    from [g] alone: they cost the executor one compare, and other
-    observers at [pc] are unaffected. *)
+    {!with_attachment} recording, same {!detach}), with the next
+    execution due. An execution due to [g] reaches it after every plain
+    observer at [pc] and after the gates attached before it. Executions
+    [g] declined are withheld from [g] alone: they cost the executor one
+    compare, and other observers at [pc] are unaffected. *)
 val add_gated_hook : t -> int -> gated -> gate
 
 (** Executions of the gate's pc while it was subscribed, delivered or

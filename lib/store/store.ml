@@ -316,9 +316,13 @@ let load t =
 
 (* --- orphan sweep --- *)
 
+(* The write-ahead journal of stores written before the [vprof-store 2]
+   manifest; nothing reads it. *)
+let retired_journal = "journal"
+
 (* Removes the files of [dir] that [doomed] picks, counting each. On
    open: the [*.tmp] an atomic commit killed before its rename leaves.
-   On gc: every [*.out] no row names. *)
+   On gc: every [*.out] no row names, and [retired_journal]. *)
 let sweep dir doomed =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -482,7 +486,8 @@ let gc t ~keep =
            (fun l -> Hashtbl.replace named (payload_file l.l_key ~crc:l.l_crc) ())
            t.s_lost;
          sweep dir (fun n ->
-             Filename.check_suffix n ".out" && not (Hashtbl.mem named n)));
+             (Filename.check_suffix n ".out" && not (Hashtbl.mem named n))
+             || n = retired_journal));
       List.length all_dead)
 
 (* --- integrity: verify / scrub --- *)

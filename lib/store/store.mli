@@ -179,8 +179,9 @@ val stats : t -> stats
     than [n] generations behind the current one (lost rows too), rewrites
     the manifest once, then removes every [*.out] file no remaining row
     names — the dead entries' files and whatever an overwriting or killed
-    put left behind ([store.orphans_swept]). Returns the number of
-    entries removed. *)
+    put left behind — and the [journal] file a store written before the
+    [vprof-store 2] manifest kept ([store.orphans_swept] counts each).
+    Returns the number of entries removed. *)
 val gc : t -> keep:int -> int
 
 (** {1 Integrity} *)

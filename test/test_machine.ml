@@ -735,6 +735,185 @@ let test_gate_step () =
   Alcotest.(check int) "and counts every execution" 10
     (Machine.gate_executions stepped g)
 
+(* ---- plain and gated subscribers at one pc ------------------------- *)
+
+(* At a pc with both kinds of subscriber, each execution goes to the
+   plain observers in attach order, then to the gates it is due for, in
+   attach order, whichever kind was attached first. *)
+let test_mixed_delivery_order () =
+  let m = Machine.create (counting_loop 4) in
+  let log = ref [] in
+  let note name v = log := (name, Int64.to_int v) :: !log in
+  let gate name skip =
+    ignore
+      (Machine.add_gated_hook m 1 (fun v _ ->
+           note name v;
+           skip))
+  in
+  gate "gate a" 1;
+  Machine.add_hook m 1 (fun v _ -> note "plain x" v);
+  gate "gate b" 0;
+  Machine.add_hook m 1 (fun v _ -> note "plain y" v);
+  ignore (Machine.run m);
+  Alcotest.(check (list (pair string int)))
+    "plain observers first, then the gates due"
+    [ ("plain x", 1); ("plain y", 1); ("gate a", 1); ("gate b", 1);
+      ("plain x", 2); ("plain y", 2); ("gate b", 2);
+      ("plain x", 3); ("plain y", 3); ("gate a", 3); ("gate b", 3);
+      ("plain x", 4); ("plain y", 4); ("gate b", 4) ]
+    (List.rev !log)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A delivered event boxes its value; an execution every gate at the pc
+   withholds costs no call and no box, with or without a plain observer
+   beside the gates. Each gate here stops listening after its first
+   delivery, so the gates add a few words to a run, not words per
+   execution. *)
+let test_withheld_executions_allocate_nothing () =
+  let n = 10_000 in
+  let run ~plain ~gates =
+    let m = Machine.create (counting_loop n) in
+    let seen = ref 0 in
+    if plain then Machine.add_hook m 1 (fun _ _ -> incr seen);
+    for _ = 1 to gates do
+      ignore (Machine.add_gated_hook m 1 (fun _ _ -> max_int))
+    done;
+    minor_words (fun () -> ignore (Machine.run m))
+  in
+  let bare = run ~plain:false ~gates:0 and plain = run ~plain:true ~gates:0 in
+  let within what words base =
+    if words -. base > 100. then
+      Alcotest.failf "%s: %.0f words over %.0f" what words base
+  in
+  Alcotest.(check bool) "a plain observer boxes each value" true
+    (plain -. bare >= float_of_int n);
+  within "one gate" (run ~plain:false ~gates:1) bare;
+  within "two gates" (run ~plain:false ~gates:2) bare;
+  within "a plain observer and a gate" (run ~plain:true ~gates:1) plain;
+  within "a plain observer and two gates" (run ~plain:true ~gates:2) plain
+
+(* Generated cases for the property below: loop programs (the sampler
+   property's generator), a few of their value pcs with 1-4 subscribers
+   each, attached in a shuffled order, every subscriber plain or gated
+   with a skip sequence it cycles through. [runs] is [None] for one run,
+   or [Some (fuel, detach)]: a first run cut after [fuel] instructions,
+   the subscriber numbered [detach] (modulo their count) detached if any,
+   [reset], and a second run to the end. *)
+type sub_kind = Plain_sub | Gated_sub of int list
+
+let gen_mixed =
+  QCheck.Gen.(
+    let skip =
+      frequency [ (8, int_range (-1) 12); (1, oneofl [ 1000; max_int ]) ]
+    in
+    let kind =
+      frequency
+        [ (1, return Plain_sub);
+          (1, map (fun l -> Gated_sub l) (list_size (int_range 1 4) skip)) ]
+    in
+    let* loop = Test_sampler.gen_loop in
+    let* npcs = int_range 1 3 in
+    let* at_pcs = list_size (return npcs) (pair nat (list_size (int_range 1 4) kind)) in
+    let* subs =
+      shuffle_l (List.concat_map (fun (p, ks) -> List.map (fun k -> (p, k)) ks) at_pcs)
+    in
+    let* runs =
+      frequency
+        [ (1, return None);
+          (2, map2 (fun f d -> Some (f, d)) (int_range 1 20_000) (opt nat)) ]
+    in
+    return (loop, subs, runs))
+
+let print_mixed ((iters, _, ops), subs, runs) =
+  Printf.sprintf "iters %d, %d ops, subscribers [%s], %s" iters (List.length ops)
+    (String.concat "; "
+       (List.map
+          (fun (p, k) ->
+            match k with
+            | Plain_sub -> Printf.sprintf "%d plain" p
+            | Gated_sub l ->
+              Printf.sprintf "%d gated %s" p
+                (String.concat "," (List.map string_of_int l)))
+          subs))
+    (match runs with
+     | None -> "one run"
+     | Some (fuel, d) ->
+       Printf.sprintf "fuel %d, detach %s, reset, run" fuel
+         (match d with None -> "none" | Some d -> string_of_int d))
+
+(* Subscribe one generated subscriber at [pc]; it logs (exec count,
+   value, address) for each execution delivered to it. *)
+let subscribe m pc kind =
+  let log = ref [] in
+  let note v a = log := (Machine.exec_count m pc, v, a) :: !log in
+  let gate, att =
+    Machine.with_attachment m (fun () ->
+        match kind with
+        | Plain_sub ->
+          Machine.add_hook m pc note;
+          None
+        | Gated_sub skips ->
+          let skips = Array.of_list skips and delivered = ref 0 in
+          Some
+            (Machine.add_gated_hook m pc (fun v a ->
+                 note v a;
+                 incr delivered;
+                 skips.((!delivered - 1) mod Array.length skips))))
+  in
+  (log, gate, att)
+
+(* Run [m] as the case says, detaching the subscribers [detached] picks
+   between the runs, and read each subscriber's log and gate count. *)
+let drive m runs subs ~detached =
+  (match runs with
+   | None -> ignore (Machine.run m)
+   | Some (fuel, _) ->
+     (try ignore (Machine.run ~fuel m)
+      with Machine.Trap (Machine.Fuel_exhausted _) -> ());
+     List.iteri (fun i (_, _, att) -> if detached i then Machine.detach m att) subs;
+     Machine.reset m;
+     ignore (Machine.run m));
+  List.map
+    (fun (log, gate, _) ->
+      (List.rev !log, Option.map (Machine.gate_executions m) gate))
+    subs
+
+(* Every subscriber at a pc shared by plain and gated observers gets
+   exactly what it gets subscribed alone on a fresh machine: the same
+   deliveries and the same gate count, across a detach and a reset. *)
+let prop_mixed_matches_solo =
+  QCheck.Test.make ~name:"mixed subscribers each see what they see alone"
+    ~count:200
+    (QCheck.make ~print:print_mixed gen_mixed)
+    (fun (spec, subs, runs) ->
+      let prog = Test_sampler.build_loop spec in
+      let pcs = Array.of_list (Atom.select prog `All) in
+      let pc_of p = pcs.(p mod Array.length pcs) in
+      let detached i =
+        match runs with
+        | Some (_, Some d) -> i = d mod List.length subs
+        | Some (_, None) | None -> false
+      in
+      let shared =
+        let m = Machine.create prog in
+        drive m runs ~detached (List.map (fun (p, k) -> subscribe m (pc_of p) k) subs)
+      in
+      let alone =
+        List.mapi
+          (fun i (p, k) ->
+            let m = Machine.create prog in
+            List.hd
+              (drive m runs
+                 ~detached:(fun _ -> detached i)
+                 [ subscribe m (pc_of p) k ]))
+          subs
+      in
+      shared = alone)
+
 let suite =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "logic and shifts" `Quick test_logic_and_shifts;
@@ -783,4 +962,9 @@ let suite =
     Alcotest.test_case "cleared gate stops" `Quick test_gate_cleared;
     Alcotest.test_case "detaching one of two gates" `Quick
       test_gate_detach_one_of_two;
-    Alcotest.test_case "step honours gates" `Quick test_gate_step ]
+    Alcotest.test_case "step honours gates" `Quick test_gate_step;
+    Alcotest.test_case "mixed pc delivers plain observers before gates" `Quick
+      test_mixed_delivery_order;
+    Alcotest.test_case "withheld executions allocate nothing" `Quick
+      test_withheld_executions_allocate_nothing;
+    QCheck_alcotest.to_alcotest prop_mixed_matches_solo ]

@@ -756,6 +756,30 @@ let test_old_version_opens_empty () =
       Alcotest.(check bool) "gc removes the old file" false
         (Sys.file_exists old))
 
+(* A store written before the v2 manifest kept a write-ahead journal
+   beside it. A v2 store holding such a [journal] keeps every row and
+   verifies clean without touching it; one gc removes it, counted as an
+   orphan. *)
+let test_gc_removes_retired_journal () =
+  with_dir (fun dir ->
+      let s = Store.open_dir dir in
+      Store.put s ~key:"a" ~payload:"first";
+      Store.put s ~key:"b" ~payload:"second";
+      let journal = Filename.concat dir "journal" in
+      write_file journal "retired journal bytes";
+      let s = reopen_sound ~ctx:"stray journal" dir in
+      Alcotest.(check int) "every row kept" 2 (Store.stats s).Store.st_entries;
+      Alcotest.(check bool) "open and verify leave it" true (Sys.file_exists journal);
+      let o0 = counter_value "store.orphans_swept" in
+      Alcotest.(check int) "gc drops no row" 0 (Store.gc s ~keep:1);
+      Alcotest.(check bool) "gc removes the journal" false (Sys.file_exists journal);
+      Alcotest.(check int) "counted as an orphan" (o0 + 1)
+        (counter_value "store.orphans_swept");
+      let s = reopen_sound ~ctx:"after gc" dir in
+      Alcotest.(check (list (option string))) "rows served" [ Some "first"; Some "second" ]
+        [ Store.find s "a"; Store.find s "b" ];
+      Alcotest.(check int) "one file per row" 2 (List.length (payload_files dir)))
+
 let suite =
   [ Alcotest.test_case "fingerprint key stable and distinct" `Quick
       test_fingerprint_key_stable_and_distinct;
@@ -809,4 +833,6 @@ let suite =
     Alcotest.test_case "generation bump survives a crash" `Quick
       test_generation_survives_crash;
     Alcotest.test_case "old manifest version opens empty" `Quick
-      test_old_version_opens_empty ]
+      test_old_version_opens_empty;
+    Alcotest.test_case "gc removes a retired journal" `Quick
+      test_gc_removes_retired_journal ]
