@@ -107,9 +107,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the profiling driver. Commands that need \
-           several runs (experiments, diff, sample, contexts) execute \
-           them in parallel; output is byte-identical to $(b,-j 1). 0 \
+          "Worker domains for the profiling driver. The independent runs \
+           of the command (the shards of $(b,--shards), the two profiles \
+           of $(b,contexts) or $(b,diff), the experiments of a suite) \
+           execute in parallel; output is byte-identical to $(b,-j 1). 0 \
            means the machine's recommended domain count.")
 
 (* Map the CLI value onto the driver's convention (0 = recommended). *)
@@ -236,35 +237,6 @@ let with_governance gv f =
         max_heap_words = Option.map words_of_mb gv.gv_max_heap_mb;
         degrade = gv.gv_degrade }
       f
-
-(* Wrap a subcommand body in the observability sinks: tracing is enabled
-   for exactly the wrapped call when --trace was given, and both files are
-   written on the way out — exceptions included, so a failing run still
-   leaves its telemetry behind. The writes are silent: subcommand stdout
-   stays byte-identical with and without the flags. *)
-let with_obs ~trace ~metrics f =
-  (match trace with
-   | Some _ ->
-     Obs.Trace.reset ();
-     Obs.Trace.set_enabled true
-   | None -> ());
-  let finish () =
-    (match trace with
-     | Some path ->
-       Obs.Trace.set_enabled false;
-       Obs.Trace.write_file path
-     | None -> ());
-    match metrics with
-    | Some path -> Obs.Metrics.write_file path
-    | None -> ()
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
 
 (* One spelling of the --stats output across subcommands. *)
 let print_stats enabled name (c : Counters.t) =

@@ -5,9 +5,11 @@
    specialize, memoize, diff, experiment, experiments.
 
    Shared flags (workload/input selection, --fuel, --jobs) live in
-   Cli_common; any command that needs more than one profiler run pushes
-   the runs through the parallel driver (lib/driver), so -j N parallelizes
-   them while keeping output byte-identical to -j 1. Experiment runs go
+   Cli_common. The commands that run independent work take -j: profile
+   (for --shards), contexts, diff, experiment and experiments push it
+   through the parallel driver (lib/driver), keeping output
+   byte-identical to -j 1. The others run one machine execution, so they
+   offer no -j. Experiment runs go
    through the supervisor (retry/record instead of abort) and are made
    crash-safe by --store (alias --checkpoint): a rerun serves what the
    killed run committed.
@@ -45,8 +47,8 @@ let list_cmd =
 (* run *)
 
 let run_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input fuel trace metrics gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let prog = w.wbuild input in
     let m = Machine.execute ?fuel prog in
@@ -58,8 +60,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a workload without instrumentation.")
     Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg $ governance_arg)
+      const run $ workload_arg $ input_arg $ fuel_arg $ trace_arg $ metrics_arg
+      $ governance_arg)
 
 (* disasm *)
 
@@ -106,7 +108,7 @@ let save_arg =
 let profile_cmd =
   let run (w : Workload.t) input selection top tnv_size clear_interval save
       fuel jobs shards store stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let vconfig =
       { Vstate.default_config with
@@ -121,7 +123,7 @@ let profile_cmd =
           ~shards:(effective_shards shards) w input
       else
         match
-          Driver.run_jobs ~jobs:(effective_jobs jobs)
+          Driver.run_jobs
             [ Driver.job
                 (module Profile.Profiler)
                 ~config:{ Profile.vconfig; selection }
@@ -225,12 +227,12 @@ let profile_cmd =
 (* memory *)
 
 let memory_cmd =
-  let run (w : Workload.t) input top fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input top fuel stats trace metrics gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let r =
       match
-        Driver.run_jobs ~jobs:(effective_jobs jobs)
+        Driver.run_jobs
           [ Driver.job (module Memprof.Profiler) ?fuel ~finish:Fun.id w input ]
       with
       | [ r ] -> r
@@ -266,19 +268,19 @@ let memory_cmd =
   Cmd.v
     (Cmd.info "memory" ~doc:"Profile memory locations (Chapter VII).")
     Term.(
-      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ jobs_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
+      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ stats_arg
+      $ trace_arg $ metrics_arg $ governance_arg)
 
 (* procs *)
 
 let procs_cmd =
-  let run (w : Workload.t) input fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input fuel stats trace metrics gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let config = { Procprof.default_config with arities = w.warities } in
     let pp =
       match
-        Driver.run_jobs ~jobs:(effective_jobs jobs)
+        Driver.run_jobs
           [ Driver.job (module Procprof.Profiler) ~config ?fuel ~finish:Fun.id
               w input ]
       with
@@ -313,14 +315,14 @@ let procs_cmd =
   Cmd.v
     (Cmd.info "procs" ~doc:"Profile procedure parameters and returns.")
     Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ stats_arg
-      $ trace_arg $ metrics_arg $ governance_arg)
+      const run $ workload_arg $ input_arg $ fuel_arg $ stats_arg $ trace_arg
+      $ metrics_arg $ governance_arg)
 
 (* registers *)
 
 let registers_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input fuel trace metrics gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let r = Regprof.run ?fuel (w.wbuild input) in
     let table =
@@ -350,8 +352,8 @@ let registers_cmd =
     (Cmd.info "registers"
        ~doc:"Profile values written per architectural register.")
     Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg $ governance_arg)
+      const run $ workload_arg $ input_arg $ fuel_arg $ trace_arg $ metrics_arg
+      $ governance_arg)
 
 (* sample *)
 
@@ -368,9 +370,9 @@ let sample_cmd =
     Arg.(value & opt finite_non_negative_float Sampler.default_config.epsilon
          & info [ "epsilon" ] ~docv:"E" ~doc:"Convergence threshold.")
   in
-  let run (w : Workload.t) input burst skip epsilon fuel jobs stats trace
-      metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input burst skip epsilon fuel stats trace metrics
+      gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let config =
       { Sampler.default_config with burst; initial_skip = skip; epsilon }
@@ -379,7 +381,7 @@ let sample_cmd =
     (* two driver jobs sharing the (workload, input, fuel) key: the
        scheduler fuses them onto one machine execution *)
     match
-      Driver.run_jobs ~jobs:(effective_jobs jobs)
+      Driver.run_jobs
         [ Driver.job (module Sampler.Profiler) ~config:sconfig ?fuel
             ~finish:(fun s -> `Sampled s) w input;
           Driver.job (module Profile.Profiler) ?fuel
@@ -401,13 +403,13 @@ let sample_cmd =
     (Cmd.info "sample" ~doc:"Convergent (sampled) value profiling.")
     Term.(
       const run $ workload_arg $ input_arg $ burst $ skip $ epsilon $ fuel_arg
-      $ jobs_arg $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
+      $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
 
 (* specialize *)
 
 let specialize_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input fuel trace metrics =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let config = { Procprof.default_config with arities = w.warities } in
     let prog = w.wbuild input in
     let pp = Procprof.run ~config ?fuel prog in
@@ -437,14 +439,13 @@ let specialize_cmd =
     (Cmd.info "specialize"
        ~doc:"Specialize the best semi-invariant procedure parameter.")
     Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
+      const run $ workload_arg $ input_arg $ fuel_arg $ trace_arg $ metrics_arg)
 
 (* trivial *)
 
 let trivial_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input fuel trace metrics =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let r = Trivprof.run ?fuel (w.wbuild input) in
     Printf.printf
       "%s (%s): %s ALU events, %s measured, %.1f%% trivial (%s via immediates, %s via run-time values)\n"
@@ -463,14 +464,13 @@ let trivial_cmd =
     (Cmd.info "trivial"
        ~doc:"Profile trivial arithmetic operands (Richardson [32]).")
     Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
+      const run $ workload_arg $ input_arg $ fuel_arg $ trace_arg $ metrics_arg)
 
 (* speculate *)
 
 let speculate_cmd =
-  let run (w : Workload.t) input top fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input top fuel trace metrics =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let prog = w.wbuild input in
     let t = Specul.run ?fuel prog in
     Printf.printf
@@ -501,8 +501,8 @@ let speculate_cmd =
          "Profile speculative-load value-check conflicts (Moudgill & \
           Moreno [29]).")
     Term.(
-      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
+      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ trace_arg
+      $ metrics_arg)
 
 (* phases *)
 
@@ -512,8 +512,8 @@ let phases_cmd =
       value & opt int Phaseprof.default_config.window
       & info [ "window" ] ~docv:"N" ~doc:"Executions per window.")
   in
-  let run (w : Workload.t) input top window fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input top window fuel trace metrics =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let config = { Phaseprof.default_config with window } in
     let t = Phaseprof.run ~config ~selection:`Loads ?fuel (w.wbuild input) in
     Printf.printf "%s (%s): mean load-invariance drift %.1f%% (window %d)\n"
@@ -551,13 +551,13 @@ let phases_cmd =
        ~doc:"Windowed (phase) profiling of load invariance over time.")
     Term.(
       const run $ workload_arg $ input_arg $ top_arg $ window_arg $ fuel_arg
-      $ jobs_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* contexts *)
 
 let contexts_cmd =
   let run (w : Workload.t) input fuel jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let prog = w.wbuild input in
     let config = { Ctxprof.default_config with arities = w.warities } in
     let flat_config = { Procprof.default_config with arities = w.warities } in
@@ -611,8 +611,8 @@ let memoize_cmd =
       value & opt int 1
       & info [ "a"; "arity" ] ~docv:"N" ~doc:"Number of arguments (1-6).")
   in
-  let run (w : Workload.t) input proc arity _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input proc arity trace metrics =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let prog = w.wbuild input in
     match Memoize.memoize prog ~proc ~arity with
     | report ->
@@ -631,14 +631,14 @@ let memoize_cmd =
     (Cmd.info "memoize"
        ~doc:"Install a memoization cache on a pure procedure (Richardson [32]).")
     Term.(
-      const run $ workload_arg $ input_arg $ proc_arg $ arity_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
+      const run $ workload_arg $ input_arg $ proc_arg $ arity_arg $ trace_arg
+      $ metrics_arg)
 
 (* diff *)
 
 let diff_cmd =
   let run (w : Workload.t) top fuel jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     let pt, ptr =
       match
         Driver.run_jobs ~jobs:(effective_jobs jobs)
@@ -982,8 +982,8 @@ let fused_cmd =
              execution: profile, sample, memory, procs, registers, \
              contexts, phases, trivial, speculate.")
   in
-  let run (w : Workload.t) input profilers fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+  let run (w : Workload.t) input profilers fuel stats trace metrics gov =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let names =
       String.split_on_char ',' profilers
@@ -1006,7 +1006,7 @@ let fused_cmd =
       | Ok rev_jobs ->
         let js = List.rev rev_jobs in
         Printf.printf "schedule: %s\n" (String.concat "; " (Driver.plan js));
-        let results = Driver.run_jobs ~jobs:(effective_jobs jobs) js in
+        let results = Driver.run_jobs js in
         (match results with
          | (_, _, dyn, _) :: _ ->
            Printf.printf
@@ -1032,7 +1032,7 @@ let fused_cmd =
     Term.(
       ret
         (const run $ workload_arg $ input_arg $ profilers_arg $ fuel_arg
-        $ jobs_arg $ stats_arg $ trace_arg $ metrics_arg $ governance_arg))
+        $ stats_arg $ trace_arg $ metrics_arg $ governance_arg))
 
 let experiment_cmd =
   let id_arg =
@@ -1338,8 +1338,16 @@ let () =
      exhausted --fuel budget)
      is a user-level outcome, not an internal error — report it cleanly;
      the driver re-raises worker exceptions on this domain, so this also
-     covers -j runs. Budget trips propagate through with_obs, so the
+     covers -j runs. Budget trips propagate through Obs.with_sinks, so the
      trace/metrics sinks are complete when we land here. *)
+  (* The cold experiment suite's peak heap rides on where the major GC's
+     cycles fall against E10's transient memory profiles. At OCaml 5.1's
+     default space overhead (120) the same allocations peak at either
+     about 70 or about 90 MB RSS, and which one is decided by code layout
+     alone (an unused function added to Obs moved it). At 100 every build
+     tried read 70-73 MB, with no measurable change in run time (2-vCPU
+     VM). *)
+  Gc.set { (Gc.get ()) with space_overhead = 100 };
   (try Fault.load_env () with Invalid_argument msg ->
     Printf.eprintf "vprof: %s\n" msg;
     exit 2);

@@ -123,12 +123,3 @@ let run ?fuel prog items =
   let live = attach machine items in
   ignore (Machine.run ?fuel machine);
   collect live
-
-let total t =
-  let agg = Counters.create () in
-  (* members share one execution and [collect] already stamped each with
-     the shared wall clock, so sum everything and then overwrite the wall
-     with the single shared measurement *)
-  List.iter (fun c -> Counters.accumulate ~into:agg c) t.counters;
-  agg.Counters.wall_seconds <- t.wall_seconds;
-  agg

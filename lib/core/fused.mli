@@ -57,6 +57,3 @@ val collect : 'a live -> 'a t
 
 (** Build one machine, attach all members, run once, collect all. *)
 val run : ?fuel:int -> Asm.program -> 'a item list -> 'a t
-
-(** Aggregate counters: member counts summed, wall taken once. *)
-val total : 'a t -> Counters.t

@@ -3,24 +3,10 @@
     Value profiles are gathered once and consumed later — by a compiler
     doing specialization, by a simulator configuring predictors — so they
     need a durable form, and a PGO pipeline is only as trustworthy as the
-    profile files it consumes. Two formats coexist:
-
-    {b v2 (text)} — line-oriented (stable, diffable, greppable), ending in
-    a CRC-32 trailer over every preceding byte:
-
-    {v
-    vprof-profile 2
-    meta instrumented=52 events=145011 dynamic=204852
-    point pc=12 proc=compress total=3999 lvp=0.25 ... stride=none
-    tv 42 1800
-    tv 7 120
-    crc32 9f3a1c07
-    v}
-
-    {b v3 (binary)} — compact: a magic/version header, then tagged
-    sections each framed with a uvarint length and its own CRC-32
-    ({!Codec.put_section}), closed by a trailer carrying the CRC-32 of the
-    whole preceding file:
+    profile files it consumes. There is one file format, v3 (binary): a
+    magic/version header, then tagged sections each framed with a uvarint
+    length and its own CRC-32 ({!Codec.put_section}), closed by a
+    trailer carrying the CRC-32 of the whole preceding file:
 
     {v
     89 56 50 33            magic "\x89VP3"
@@ -32,57 +18,58 @@
     v}
 
     Counts are LEB128 uvarints, profiled values zigzag varint64s, ratio
-    metrics fixed 8-byte IEEE-754 bits — so v3 round-trips v2 exactly
-    while being several times smaller.
+    metrics fixed 8-byte IEEE-754 bits, so a profile round-trips exactly.
+
+    {!to_string} renders a profile as text for people to read
+    ([vprof store get -w]); nothing reads that rendering back:
+
+    {v
+    vprof-profile 2
+    meta instrumented=52 events=145011 dynamic=204852
+    point pc=12 proc=compress total=3999 lvp=0.25 ... stride=none
+    tv 42 1800
+    tv 7 120
+    crc32 9f3a1c07
+    v}
 
     Loading re-attaches the points to a program (the same workload build),
     re-deriving each point's instruction and validating that every saved
-    pc is a value-producing instruction of that program. Text files must
-    be version 2 (version 1, which had no trailer, is rejected);
-    {!of_string} and {!read_file} sniff the format from the first bytes.
+    pc is a value-producing instruction of that program.
 
     Durability properties:
     - {!write_file} commits via temp-file + [rename], so a crash leaves
       the previous file intact, never a torn one;
-    - a truncated or corrupted file fails its checksum on load instead
-      of silently parsing as a shorter profile;
-    - [~salvage:true] recovers the valid prefix of a damaged file — whole
-      lines for text, whole checksum-valid sections for v3;
-    - loaded metrics are validated (no negative counts, no NaNs), each
-      rejection citing its line (text) or byte offset (binary).
+    - loads are strict: a file that is truncated, corrupted, of another
+      format or version, or carries a negative count, a NaN metric or a
+      pc the program cannot profile fails as a whole, its message citing
+      the byte offset of the section at fault. There is no partial load.
 
-    Telemetry: [profile_io.reads]/[writes]/[salvaged_lines] counters and
+    Telemetry: [profile_io.reads]/[writes] counters and
     [profile_io.read]/[write] spans in {!Obs}. *)
 
-(** The 4-byte v3 magic ["\x89VP3"] — exposed for integrity checkers
-    (the store's scrub/verify) that sniff the framing without decoding
-    a whole profile. *)
-val binary_magic : string
-
-(** The v2 text serialization. *)
+(** The text rendering, ending in a [crc32] line over every preceding
+    byte. Print-only: {!of_string} rejects it. *)
 val to_string : Profile.t -> string
 
 (** The v3 binary serialization. *)
 val to_binary : Profile.t -> string
 
-(** Atomic write (temp file in the destination directory, then [rename]),
-    binary v3 unless [~format:`Text]. Carries the ["profile_io.write"]
-    fault-injection site: arming it with [Fault.Truncate n] makes this
-    call emulate a legacy in-place writer crashing mid-write — the
-    destination is left truncated at byte [n] and [Fault.Injected] is
-    raised. *)
-val write_file : ?format:[ `Binary | `Text ] -> Profile.t -> string -> unit
+(** Atomic v3 write: a temp file in the destination directory, then
+    [rename]. *)
+val write_file : Profile.t -> string -> unit
 
-(** Sniffs the format (v3 magic bytes, else text). Raises [Failure] with
-    a line- or byte-offset message on malformed input, an unsupported
-    version, a checksum mismatch, a negative count, a NaN metric, or a pc
-    that is not a value-producing instruction of [program].
+(** Decodes a v3 profile. Raises [Failure] with a byte-offset message on
+    input without the v3 magic (at byte 0), an unsupported version, a
+    malformed or unknown section, a checksum mismatch, a missing end
+    section or bytes after it, a count past [max_int], a NaN metric, or
+    a pc that is not a value-producing instruction of [program]. *)
+val of_string : program:Asm.program -> string -> Profile.t
 
-    [~salvage:true] instead keeps every well-formed line (text) or whole
-    checksum-valid section (v3) before the first damaged one and skips
-    whole-file checksum verification — the recovery path for a file a
-    crash truncated. The header and meta must survive; everything after
-    the tear is dropped. *)
-val of_string : ?salvage:bool -> program:Asm.program -> string -> Profile.t
+val read_file : program:Asm.program -> string -> Profile.t
 
-val read_file : ?salvage:bool -> program:Asm.program -> string -> Profile.t
+(** [false] iff [bytes] carry the v3 magic but their section framing
+    does not hold: a section runs past the end or fails its CRC-32.
+    Walks the framing without decoding a point. Bytes without the magic
+    are not a profile and have no framing to check, so they pass: the
+    store's integrity survey calls this on every payload it keeps. *)
+val structurally_sound : string -> bool

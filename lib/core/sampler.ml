@@ -225,52 +225,6 @@ let invariance_error sampled full =
   if !errors = [] then 0.
   else Stats.weighted_mean (Array.of_list !errors) (Array.of_list !weights)
 
-(* Merge sampled results point-wise by pc, in list order: metrics via
-   Metrics.merge, event/profiled counts summed, a point converged only if
-   every shard that observed it had converged (the conservative reading —
-   one restless shard means the point was still moving somewhere). *)
-let merge = function
-  | [] -> invalid_arg "Sampler.merge: empty list"
-  | [ one ] -> one
-  | results ->
-    Obs.Trace.with_span ~cat:"core" "profile.merge" @@ fun () ->
-    let tbl : (int, point ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        Array.iter
-          (fun p ->
-            match Hashtbl.find_opt tbl p.s_pc with
-            | Some acc ->
-              acc :=
-                { !acc with
-                  s_metrics = Metrics.merge !acc.s_metrics p.s_metrics;
-                  s_events = !acc.s_events + p.s_events;
-                  s_profiled = !acc.s_profiled + p.s_profiled;
-                  s_converged = !acc.s_converged && p.s_converged }
-            | None -> Hashtbl.add tbl p.s_pc (ref p))
-          r.points)
-      results;
-    let points =
-      Hashtbl.fold (fun _ p acc -> !p :: acc) tbl []
-      |> List.sort (fun p q -> compare p.s_pc q.s_pc)
-      |> Array.of_list
-    in
-    let total_events = Array.fold_left (fun a p -> a + p.s_events) 0 points in
-    let profiled_events =
-      Array.fold_left (fun a p -> a + p.s_profiled) 0 points
-    in
-    let stats = Counters.create () in
-    List.iter (fun r -> Counters.accumulate ~into:stats r.stats) results;
-    { points;
-      total_events;
-      profiled_events;
-      overhead =
-        (if total_events = 0 then 0.
-         else float_of_int profiled_events /. float_of_int total_events);
-      dynamic_instructions =
-        List.fold_left (fun a r -> a + r.dynamic_instructions) 0 results;
-      stats }
-
 type profiler_config = {
   sampler : config;
   vconfig : Vstate.config;

@@ -88,13 +88,6 @@ val run :
     the error is [0.] by definition — never NaN. *)
 val invariance_error : t -> Profile.t -> float
 
-(** [merge results] combines sampled results point-wise by pc, in list
-    order: metrics via {!Metrics.merge}, event and profiled counts
-    summed, and a point reported converged only if every result that
-    observed it had converged. Deterministic; raises [Invalid_argument]
-    on the empty list. *)
-val merge : t list -> t
-
 (** The {!Profiler_intf.S} view of this profiler, for the parallel driver:
     sampling parameters, TNV configuration and instruction selection
     packed into one config value. *)

@@ -88,4 +88,4 @@ val default_jobs : unit -> int
 (** {!Pool.map}, re-exported: deterministic parallel map for work that is
     not shaped like a profiler run (experiment drivers, paired
     comparisons). *)
-val map : ?jobs:int -> ?fail_fast:bool -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -57,8 +57,7 @@ let m_jobs = Obs.Metrics.counter "pool.jobs"
 let m_errors = Obs.Metrics.counter "pool.errors"
 let m_workers = Obs.Metrics.counter "pool.workers_spawned"
 
-let map_result ?jobs ?cancel:(flag = cancellation ()) ?(stop_on_error = false)
-    f items =
+let map_result ?jobs ?cancel:(flag = cancellation ()) f items =
   let run_one x =
     Obs.Metrics.incr m_jobs;
     match
@@ -70,7 +69,6 @@ let map_result ?jobs ?cancel:(flag = cancellation ()) ?(stop_on_error = false)
     | exception e ->
       let err = Error (e, Printexc.get_raw_backtrace ()) in
       Obs.Metrics.incr m_errors;
-      if stop_on_error then Atomic.set flag true;
       err
   in
   let jobs = min (resolve_jobs jobs) (List.length items) in
@@ -112,17 +110,12 @@ let map_result ?jobs ?cancel:(flag = cancellation ()) ?(stop_on_error = false)
     Array.to_list results
   end
 
-let map ?jobs ?(fail_fast = false) f items =
-  let results = map_result ?jobs ~stop_on_error:fail_fast f items in
-  (* surface the lowest-indexed recorded failure; with [fail_fast] later
-     items may never have run (their slots are [None]) *)
-  List.iter
-    (function
-      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-      | Some (Ok _) | None -> ())
-    results;
+let map ?jobs f items =
+  (* nothing sets the flag, so every slot is filled; [List.map] goes in
+     order, so the lowest-indexed failure is the one re-raised *)
   List.map
     (function
       | Some (Ok v) -> v
-      | Some (Error _) | None -> assert false)
-    results
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false)
+    (map_result ?jobs f items)

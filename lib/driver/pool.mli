@@ -25,17 +25,15 @@ val cancellation : unit -> cancellation
 val cancel : cancellation -> unit
 val cancelled : cancellation -> bool
 
-(** [map_result ?jobs ?cancel ?stop_on_error f items] applies [f] to every
-    item, returning per-item slots {e in input order}:
-    [Some (Ok v)] for a success, [Some (Error (e, bt))] for an application
-    that raised (backtrace captured on the raising domain), and [None] for
-    an item never started because the [cancel] flag was set — by the
-    caller, from inside [f] via a shared {!cancellation}, or automatically
-    on the first error when [stop_on_error] is [true]. Never raises. *)
+(** [map_result ?jobs ?cancel f items] applies [f] to every item,
+    returning per-item slots {e in input order}: [Some (Ok v)] for a
+    success, [Some (Error (e, bt))] for an application that raised
+    (backtrace captured on the raising domain), and [None] for an item
+    never started because the [cancel] flag was set — by the caller, or
+    from inside [f] via a shared {!cancellation}. Never raises. *)
 val map_result :
   ?jobs:int ->
   ?cancel:cancellation ->
-  ?stop_on_error:bool ->
   ('a -> 'b) ->
   'a list ->
   ('b, exn * Printexc.raw_backtrace) result option list
@@ -45,11 +43,7 @@ val map_result :
     (after defaulting) degenerates to a serial map on the calling domain.
 
     If any application raises, the exception of the {e lowest-indexed}
-    failing item is re-raised. By default every queued item still runs
-    before the re-raise, so the surfaced error is deterministic even
-    though later items may already have run. With [~fail_fast:true],
-    workers stop pulling new items as soon as any item has failed — the
-    queue is abandoned, in-flight items finish, and the lowest-indexed
-    failure {e that actually occurred} is re-raised (which items ran is
-    then schedule-dependent). *)
-val map : ?jobs:int -> ?fail_fast:bool -> ('a -> 'b) -> 'a list -> 'b list
+    failing item is re-raised. Every queued item still runs before the
+    re-raise, so the surfaced error is deterministic even though later
+    items may already have run. *)
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

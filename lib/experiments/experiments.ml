@@ -115,34 +115,6 @@ let policy_of_config c =
     fuel_timeout = c.rc_fuel;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
 
-(* Sink plumbing: if the config names a trace sink, the trace is reset
-   and enabled for exactly this run and written (disabled again) on the
-   way out, exceptions included; a metrics sink snapshots the registry on
-   the way out. Both writes are silent — callers own stdout. *)
-let with_sinks cfg f =
-  (match cfg.rc_trace with
-   | Some _ ->
-     Obs.Trace.reset ();
-     Obs.Trace.set_enabled true
-   | None -> ());
-  let finish () =
-    (match cfg.rc_trace with
-     | Some path ->
-       Obs.Trace.set_enabled false;
-       Obs.Trace.write_file path
-     | None -> ());
-    match cfg.rc_metrics with
-    | Some path -> Obs.Metrics.write_file path
-    | None -> ()
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
-
 let run_spec_traced spec =
   Obs.Trace.with_span ~cat:"experiments" ("experiment:" ^ spec.id) spec.run
 
@@ -156,7 +128,8 @@ let spec_key (c : run_config) (spec : spec) =
          ~workload:spec.id ~input:"suite" ()))
 
 let run ?(config = default_run_config) specs =
-  with_sinks config @@ fun () ->
+  Obs.with_sinks ?trace:config.rc_trace ?metrics:config.rc_metrics
+  @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
   let rep =
@@ -178,7 +151,8 @@ let run ?(config = default_run_config) specs =
   { results = Supervisor.oks rep; failures }
 
 let run_strings ?(config = default_run_config) specs =
-  with_sinks config @@ fun () ->
+  Obs.with_sinks ?trace:config.rc_trace ?metrics:config.rc_metrics
+  @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
   let supervise f specs =

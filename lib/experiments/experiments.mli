@@ -60,9 +60,6 @@ type run_config = {
 (** Serial, one retry, no fuel limit, no store, no sinks. *)
 val default_run_config : run_config
 
-(** The supervisor policy a config induces (retries / fuel / skip-vs-abort). *)
-val policy_of_config : run_config -> Supervisor.policy
-
 (** Run a subset of the suite under supervision (see {!Supervisor}): each
     experiment runs in an ["experiment:<id>"] trace span, is retried per
     the config and recorded as a {!failure} instead of raising. If the

@@ -24,16 +24,12 @@ val sharded_profile :
     the contents of any. *)
 val set_shards : int -> unit
 
-val shards : unit -> int
-
 (** Attach (or with [None] detach) a profile store. With a store
     attached, a {!full_profile}/{!sharded_profile} memo miss consults the
     store — keyed by the {!Store.Fingerprint} of (workload, input, fuel,
     profiler, shards, config) — before executing the machine, and every
     computed profile is committed for the next invocation. *)
 val set_store : Store.t option -> unit
-
-val store : unit -> Store.t option
 
 (** Memoized machine state after a full run: the same architectural state
     (registers, memory, counters) as an uninstrumented run. The profilers

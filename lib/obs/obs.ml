@@ -561,6 +561,31 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Sinks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let with_sinks ?trace ?metrics f =
+  if trace <> None then begin
+    Trace.reset ();
+    Trace.set_enabled true
+  end;
+  let finish () =
+    Option.iter
+      (fun path ->
+        Trace.set_enabled false;
+        Trace.write_file path)
+      trace;
+    Option.iter Metrics.write_file metrics
+  in
+  match f () with
+  | v ->
+    finish ();
+    v
+  | exception e ->
+    finish ();
+    raise e
+
+(* ------------------------------------------------------------------ *)
 (* Profiler-run publication                                           *)
 (* ------------------------------------------------------------------ *)
 

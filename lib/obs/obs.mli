@@ -157,6 +157,14 @@ module Trace : sig
   val write_file : string -> unit
 end
 
+(** [with_sinks ?trace ?metrics f] runs [f] with the telemetry sinks
+    the command asked for. Given [trace], tracing is reset and enabled
+    for exactly this call. On the way out, exceptions included, tracing
+    is disabled and the trace written to [trace], then the registry to
+    [metrics], so a failing run still leaves its telemetry behind. The
+    writes are silent: callers own stdout. *)
+val with_sinks : ?trace:string -> ?metrics:string -> (unit -> 'a) -> 'a
+
 (** Publish one profiler run's cost counters into the registry, under
     ["profiler.<name>.*"]: counters [runs], [events_seen],
     [events_profiled], [tnv_clears], [tnv_evictions] plus a

@@ -492,25 +492,6 @@ let gc t ~keep =
 
 (* --- integrity: verify / scrub --- *)
 
-(* A v3-framed payload gets its sections walked (every section carries
-   its own CRC-32); anything else is opaque bytes whose integrity is the
-   manifest checksum alone. *)
-let structurally_sound payload =
-  let magic = Profile_io.binary_magic in
-  let mlen = String.length magic in
-  if String.length payload < mlen || String.sub payload 0 mlen <> magic then
-    true
-  else begin
-    let r = Codec.reader ~pos:mlen payload in
-    try
-      ignore (Codec.read_uvarint r);
-      while not (Codec.at_end r) do
-        ignore (Codec.read_section r)
-      done;
-      true
-    with Codec.Error _ -> false
-  end
-
 (* Renames [p] aside to [p.corrupt] — quarantine, never deletion; [true]
    if a file was moved. *)
 let quarantine_file p =
@@ -541,7 +522,7 @@ let survey t mode =
         | None -> ()
         | Some e ->
           let copy_ok =
-            structurally_sound e.e_payload
+            Profile_io.structurally_sound e.e_payload
             && (match read_file (payload_path dir key ~crc:e.e_crc) with
                 | exception Sys_error _ -> false
                 | bytes -> bytes = e.e_payload)

@@ -36,12 +36,14 @@
     ([store.orphans_swept]). An acknowledged write is never lost and an
     unacknowledged one is never half-applied, even under kill -9.
 
-    {b Integrity.} {!verify} is a read-only survey (every entry's payload
-    file byte-compared against the loaded payload, v3-framed payloads
-    additionally section-walked); {!scrub} moves each corrupt payload
-    aside to [*.corrupt] ([store.quarantined] — quarantine, never
-    deletion). A {!get_profile} that hits undecodable bytes quarantines
-    the poisoned file so it is never re-read.
+    {b Integrity.} {!verify} is a read-only survey: every entry's payload
+    file is byte-compared against the loaded payload, and a v3 profile
+    payload additionally has its sections walked
+    ({!Profile_io.structurally_sound}). {!scrub} moves each corrupt
+    payload aside to [*.corrupt] ([store.quarantined] — quarantine,
+    never deletion). Profile payloads decode strictly, whole or not at
+    all: a {!get_profile} that hits undecodable bytes quarantines the
+    poisoned file so it is never re-read, and the caller recomputes.
 
     {b Cost.} Each entry records its payload's length and CRC-32, and
     manifest rows are rendered from those records, so no commit

@@ -70,6 +70,9 @@ let read_uvarint r =
     if shift > 62 then raise (Error (start, "varint overflows int"));
     let b = read_byte r in
     let acc = acc lor ((b land 0x7f) lsl shift) in
+    (* the ninth byte's bit 6 lands on the sign bit: a count the writer
+       can never have produced *)
+    if acc < 0 then raise (Error (start, "varint overflows int"));
     if b land 0x80 = 0 then acc else go acc (shift + 7)
   in
   go 0 0

@@ -44,6 +44,9 @@ val pos : reader -> int
 val at_end : reader -> bool
 
 val read_byte : reader -> int
+
+(** Never negative: a uvarint past [max_int] raises {!Error}, as
+    {!put_uvarint} never writes one. *)
 val read_uvarint : reader -> int
 val read_varint64 : reader -> int64
 val read_f64 : reader -> float

@@ -1,4 +1,4 @@
-type action = Raise | Truncate of int | Kill
+type action = Raise | Kill
 
 type firing =
   | Shots of { at : int; count : int }
@@ -114,15 +114,7 @@ let point ~site =
     | Some ({ s_action = Raise; _ } as st) ->
       if fired st then raise (Injected site)
     | Some ({ s_action = Kill; _ } as st) -> if fired st then kill_self ()
-    | Some _ | None -> ()
-
-let cut ~site =
-  if not (Atomic.get armed_flag) then None
-  else
-    match find site with
-    | Some ({ s_action = Truncate n; _ } as st) ->
-      if fired st then Some n else None
-    | Some _ | None -> None
+    | None -> ()
 
 let hits ~site =
   match find site with
@@ -137,7 +129,7 @@ let parse_entry entry =
     invalid_arg
       (Printf.sprintf
          "Fault: malformed spec entry %S (want SITE@AT, SITE@AT#N, \
-          SITE@~P, each optionally @BYTES or @kill)"
+          SITE@~P, each optionally @kill)"
          entry)
   in
   let parse_firing f =
@@ -165,10 +157,6 @@ let parse_entry entry =
   match String.split_on_char '@' entry with
   | [ site; f ] when site <> "" -> (site, parse_firing f, Raise)
   | [ site; f; "kill" ] when site <> "" -> (site, parse_firing f, Kill)
-  | [ site; f; bytes ] when site <> "" ->
-    (match int_of_string_opt bytes with
-     | Some b when b >= 0 -> (site, parse_firing f, Truncate b)
-     | _ -> bad ())
   | _ -> bad ()
 
 let arm_spec spec =

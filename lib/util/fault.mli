@@ -3,9 +3,8 @@
     Robustness claims are only testable if faults can be produced on
     demand, at an exact, reproducible spot. This module plants named
     {e injection sites} on the paths that matter — machine stepping
-    ([Fault.point ~site:"machine.step"] in {!Machine.run}'s loop), profile
-    writing ([Fault.cut ~site:"profile_io.write"]), pool workers
-    (["pool.worker"]), supervised job attempts (["supervisor.job"]),
+    ([Fault.point ~site:"machine.step"] in {!Machine.run}'s loop), pool
+    workers (["pool.worker"]), supervised job attempts (["supervisor.job"]),
     checkpoint loading (["checkpoint.load"]), shard merging
     (["shard.merge"]), pool cancellation (["pool.cancel"]) and store
     commits (["store.commit"], ["store.payload.write"] and
@@ -35,9 +34,6 @@
 (** What an armed site does when it fires. *)
 type action =
   | Raise  (** {!point} raises {!Injected}. *)
-  | Truncate of int
-      (** {!cut} returns [Some bytes] — the writer must tear its output
-          there and die, emulating a crash mid-write. *)
   | Kill
       (** {!point} SIGKILLs the process — a real kill -9, no handler,
           finalizer or [at_exit] hook runs. The crash-point survival
@@ -87,15 +83,10 @@ val arm_firing : ?action:action -> site:string -> firing -> unit
     kept). *)
 val disarm : unit -> unit
 
-(** An injection site for crash-style faults: counts a hit and raises
-    [Injected site] if this hit fires. Cheap no-op when nothing is
-    armed. *)
+(** An injection site: counts a hit and, if this hit fires, raises
+    [Injected site] ({!Raise}) or SIGKILLs the process ({!Kill}). Cheap
+    no-op when nothing is armed. *)
 val point : site:string -> unit
-
-(** An injection site for torn-write faults: counts a hit and returns
-    [Some n] (the byte budget) if this hit fires a [Truncate n] arming;
-    [None] otherwise. *)
-val cut : site:string -> int option
 
 (** Hits recorded against a site since it was last armed ([0] if the site
     is not armed) — for tests asserting an exact firing position. *)
@@ -111,11 +102,10 @@ val seed_env_var : string
     ["SITE@AT"] arms a one-shot {!Raise} on the [AT]-th hit;
     ["SITE@AT#N"] arms an N-shot burst over hits [AT .. AT+N-1];
     ["SITE@~P"] arms probabilistic firing with probability [P];
-    each form takes an optional trailing ["@BYTES"] turning the action
-    into [Truncate BYTES], or a trailing ["@kill"] turning it into
-    {!Kill} (SIGKILL the process at the firing hit).
-    E.g. ["supervisor.job@3,machine.step@~0.001,profile_io.write@1@512"]
-    or ["store.orphan@1@kill"].
+    each form takes an optional trailing ["@kill"] turning the action
+    into {!Kill} (SIGKILL the process at the firing hit).
+    E.g. ["supervisor.job@3,machine.step@~0.001,pool.worker@2#3"] or
+    ["store.orphan@1@kill"].
     Raises [Invalid_argument] with the offending entry on a malformed
     spec — including empty entries, which are rejected rather than
     silently ignored. *)

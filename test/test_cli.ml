@@ -132,11 +132,21 @@ let test_bad_flag_usage_error () =
   let code, _ = run_cli "run --no-such-flag" in
   Alcotest.(check int) "cmdliner usage errors exit 2" 2 code
 
+let test_jobs_only_where_it_acts () =
+  (* run executes one machine, so it offers no -j *)
+  let code, _ = run_cli "run -w go -j 2" in
+  Alcotest.(check int) "run -j is a usage error" 2 code
+
 let test_malformed_fault_spec_usage_error () =
   let code, out = run_cli ~env:"VPROF_FAULT=broken" "list" in
   Alcotest.(check int) "bad VPROF_FAULT exits 2" 2 code;
   Alcotest.(check bool) "names the bad entry" true
-    (Astring_contains.contains out "broken")
+    (Astring_contains.contains out "broken");
+  (* a trailing byte count is not an action *)
+  let code, out = run_cli ~env:"VPROF_FAULT=x@1@512" "list" in
+  Alcotest.(check int) "SITE@AT@BYTES exits 2" 2 code;
+  Alcotest.(check bool) "names that entry" true
+    (Astring_contains.contains out "x@1@512")
 
 let temp_dir () =
   let path = Filename.temp_file "vprof_cli_ck" "" in
@@ -676,6 +686,7 @@ let suite =
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload_fails;
     Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment_fails;
     Alcotest.test_case "bad flag" `Quick test_bad_flag_usage_error;
+    Alcotest.test_case "run takes no -j" `Quick test_jobs_only_where_it_acts;
     Alcotest.test_case "malformed VPROF_FAULT" `Quick
       test_malformed_fault_spec_usage_error;
     Alcotest.test_case "malformed entry in a multi-site campaign" `Quick

@@ -87,11 +87,16 @@ let test_reader_past_end () =
   | exception Codec.Error _ -> ()
 
 let test_uvarint_overflow () =
+  let rejects what bytes =
+    match Codec.read_uvarint (Codec.reader bytes) with
+    | n -> Alcotest.failf "%s: expected Codec.Error, read %d" what n
+    | exception Codec.Error (0, _) -> ()
+  in
   (* 10 continuation bytes exceed 62 value bits *)
-  let r = Codec.reader (String.make 9 '\xff' ^ "\x7f") in
-  match Codec.read_uvarint r with
-  | _ -> Alcotest.fail "expected Codec.Error"
-  | exception Codec.Error _ -> ()
+  rejects "ten bytes" (String.make 9 '\xff' ^ "\x7f");
+  (* nine bytes whose last sets bit 62: 2^62 is past max_int, and would
+     read back as a negative count *)
+  rejects "2^62" (String.make 8 '\x80' ^ "\x40")
 
 let test_strtab_interns_and_roundtrips () =
   let t = Codec.Strtab.create () in

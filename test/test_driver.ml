@@ -20,9 +20,16 @@ let test_pool_map_matches_serial () =
 let test_pool_exception_deterministic () =
   (* the lowest-indexed failure must surface, whatever the schedule *)
   let f x = if x mod 2 = 1 then failwith (string_of_int x) else x in
-  match Pool.map ~jobs:4 f [ 0; 2; 5; 4; 3; 7 ] with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure m -> Alcotest.(check string) "first failing item" "5" m
+  (match Pool.map ~jobs:4 f [ 0; 2; 5; 4; 3; 7 ] with
+   | _ -> Alcotest.fail "expected an exception"
+   | exception Failure m -> Alcotest.(check string) "first failing item" "5" m);
+  (* the queue still drains before the re-raise *)
+  let ran = Atomic.make 0 in
+  let f x = Atomic.incr ran; if x = 0 then failwith "boom" else x in
+  (match Pool.map ~jobs:2 f (List.init 16 Fun.id) with
+   | _ -> Alcotest.fail "expected the failure to surface"
+   | exception Failure _ -> ());
+  Alcotest.(check int) "every item ran" 16 (Atomic.get ran)
 
 exception Worker_boom of int
 
@@ -41,26 +48,6 @@ let test_pool_exception_carries_backtrace () =
     let bt = Printexc.get_backtrace () in
     Alcotest.(check bool) "raising frame preserved" true
       (Astring_contains.contains bt "test_driver.ml")
-
-let test_pool_fail_fast_abandons_queue () =
-  (* item 0 fails instantly while everything else dawdles: with fail_fast
-     the workers stop pulling, so most of the queue never runs *)
-  let ran = Atomic.make 0 in
-  let f x =
-    Atomic.incr ran;
-    if x = 0 then failwith "boom" else (Unix.sleepf 0.002; x)
-  in
-  (match Pool.map ~jobs:2 ~fail_fast:true f (List.init 64 Fun.id) with
-   | _ -> Alcotest.fail "expected the failure to surface"
-   | exception Failure m -> Alcotest.(check string) "the failure" "boom" m);
-  Alcotest.(check bool) "queue abandoned" true (Atomic.get ran < 64);
-  (* the default still drains the queue before re-raising *)
-  let ran = Atomic.make 0 in
-  let f x = Atomic.incr ran; if x = 0 then failwith "boom" else x in
-  (match Pool.map ~jobs:2 f (List.init 16 Fun.id) with
-   | _ -> Alcotest.fail "expected the failure to surface"
-   | exception Failure _ -> ());
-  Alcotest.(check int) "default drains the queue" 16 (Atomic.get ran)
 
 let test_pool_map_result_slots () =
   let slots =
@@ -309,8 +296,6 @@ let suite =
       test_pool_exception_deterministic;
     Alcotest.test_case "pool exception carries backtrace" `Quick
       test_pool_exception_carries_backtrace;
-    Alcotest.test_case "pool fail-fast abandons the queue" `Quick
-      test_pool_fail_fast_abandons_queue;
     Alcotest.test_case "pool map_result slots" `Quick
       test_pool_map_result_slots;
     Alcotest.test_case "pool map_result honours pre-set cancel" `Quick

@@ -1,5 +1,5 @@
-(* Deterministic fault injection: exact-hit firing, truncation budgets,
-   spec parsing, env loading, and the machine.step site end-to-end. *)
+(* Deterministic fault injection: exact-hit firing, spec parsing, env
+   loading, and the machine.step site end-to-end. *)
 
 open Isa
 
@@ -7,11 +7,16 @@ open Isa
    site into later suites. *)
 let with_faults f = Fun.protect ~finally:Fault.disarm f
 
+(* Whether this hit of [site] fired a [Raise] arming. *)
+let fires site =
+  match Fault.point ~site with
+  | () -> false
+  | exception Fault.Injected _ -> true
+
 let test_disarmed_noop () =
   Fault.disarm ();
   Alcotest.(check bool) "disabled" false (Fault.enabled ());
   Fault.point ~site:"anything";
-  Alcotest.(check (option int)) "no cut" None (Fault.cut ~site:"anything");
   Alcotest.(check int) "no hits tracked" 0 (Fault.hits ~site:"anything")
 
 let test_fires_exactly_once () =
@@ -39,16 +44,6 @@ let test_rearm_replaces () =
       | () -> Alcotest.fail "re-arming must reset the countdown"
       | exception Fault.Injected _ -> ())
 
-let test_truncate_cut () =
-  with_faults (fun () ->
-      Fault.arm ~action:(Fault.Truncate 512) ~site:"w" ~at:2 ();
-      Alcotest.(check (option int)) "first hit passes" None (Fault.cut ~site:"w");
-      Alcotest.(check (option int)) "second hit cuts" (Some 512)
-        (Fault.cut ~site:"w");
-      Alcotest.(check (option int)) "spent" None (Fault.cut ~site:"w");
-      (* a Truncate arming never fires the crash-style site *)
-      Fault.point ~site:"w")
-
 let test_arm_rejects_empty_site () =
   match Fault.arm ~site:"" ~at:1 () with
   | () -> Alcotest.fail "expected Invalid_argument"
@@ -69,13 +64,12 @@ let test_n_shot_window () =
         (Fault.hits ~site:"s"))
 
 let test_prob_deterministic () =
-  (* the same seed gives the same firing pattern; Truncate keeps the
-     firing observable without unwinding, so the whole stream compares *)
+  (* the same seed gives the same firing pattern over the whole stream *)
   let pattern seed =
     Fault.disarm ();
     Fault.set_seed seed;
-    Fault.arm_prob ~action:(Fault.Truncate 1) ~site:"p" ~p:0.3 ();
-    let fired = List.init 200 (fun _ -> Fault.cut ~site:"p" <> None) in
+    Fault.arm_prob ~site:"p" ~p:0.3 ();
+    let fired = List.init 200 (fun _ -> fires "p") in
     Fault.disarm ();
     fired
   in
@@ -104,31 +98,29 @@ let test_concurrent_sites () =
   with_faults (fun () ->
       Fault.arm ~site:"a" ~at:1 ();
       Fault.arm ~site:"b" ~at:2 ();
-      Fault.arm ~action:(Fault.Truncate 9) ~site:"c" ~at:1 ();
+      Fault.arm ~site:"c" ~at:1 ();
       (match Fault.point ~site:"a" with
        | () -> Alcotest.fail "a fires on hit 1"
        | exception Fault.Injected site ->
          Alcotest.(check string) "a" "a" site);
       Fault.point ~site:"b";
-      Alcotest.(check (option int)) "c cuts independently" (Some 9)
-        (Fault.cut ~site:"c");
+      Alcotest.(check bool) "c fires independently" true (fires "c");
       match Fault.point ~site:"b" with
       | () -> Alcotest.fail "b fires on hit 2"
       | exception Fault.Injected site -> Alcotest.(check string) "b" "b" site)
 
 let test_arm_spec () =
   with_faults (fun () ->
-      Fault.arm_spec "a@2, b@1@77";
+      Fault.arm_spec "a@2, b@1";
       Fault.point ~site:"a";
       (match Fault.point ~site:"a" with
        | () -> Alcotest.fail "a must fire on its 2nd hit"
        | exception Fault.Injected _ -> ());
-      Alcotest.(check (option int)) "b is a truncate arming" (Some 77)
-        (Fault.cut ~site:"b"))
+      Alcotest.(check bool) "b fires on its 1st hit" true (fires "b"))
 
 let test_arm_spec_campaign_grammar () =
   with_faults (fun () ->
-      Fault.arm_spec "burst@1#2, maybe@~0.5, torn@~1@33";
+      Fault.arm_spec "burst@1#2, maybe@~0.5, always@~1";
       (* burst: N-shot over hits 1..2 *)
       (match Fault.point ~site:"burst" with
        | () -> Alcotest.fail "burst hit 1 must fire"
@@ -137,11 +129,9 @@ let test_arm_spec_campaign_grammar () =
        | () -> Alcotest.fail "burst hit 2 must fire"
        | exception Fault.Injected _ -> ());
       Fault.point ~site:"burst";
-      (* torn: probabilistic truncate with p = 1 fires every hit *)
-      Alcotest.(check (option int)) "p=1 truncate always cuts" (Some 33)
-        (Fault.cut ~site:"torn");
-      Alcotest.(check (option int)) "and keeps cutting" (Some 33)
-        (Fault.cut ~site:"torn");
+      (* always: p = 1 fires every hit *)
+      Alcotest.(check bool) "p=1 fires" true (fires "always");
+      Alcotest.(check bool) "and keeps firing" true (fires "always");
       (* maybe: armed (counts hits) whatever the draw *)
       (try Fault.point ~site:"maybe" with Fault.Injected _ -> ());
       Alcotest.(check bool) "prob site counts hits" true
@@ -153,16 +143,12 @@ let test_arm_spec_campaign_grammar () =
    kill tests and the chaos --kill-loop campaign, in subprocesses). *)
 let test_arm_spec_kill () =
   with_faults (fun () ->
-      Fault.arm_spec "k@5@kill, torn@1@12";
-      (* a Kill arming is not a Truncate: cut never fires it *)
-      Alcotest.(check (option int)) "kill site does not cut" None
-        (Fault.cut ~site:"k");
+      Fault.arm_spec "k@5@kill, sib@1";
       (* hits below the arming threshold are safe and counted *)
       Fault.point ~site:"k";
       Fault.point ~site:"k";
       Alcotest.(check int) "kill site counts hits" 2 (Fault.hits ~site:"k");
-      Alcotest.(check (option int)) "sibling truncate still cuts" (Some 12)
-        (Fault.cut ~site:"torn"))
+      Alcotest.(check bool) "sibling raise still fires" true (fires "sib"))
 
 let test_arm_spec_malformed () =
   let rejects spec =
@@ -175,6 +161,8 @@ let test_arm_spec_malformed () =
   rejects "@3";
   rejects "x@1@-2";
   rejects "x@1@2@3";
+  (* a byte budget is not an action *)
+  rejects "x@1@512";
   (* campaign grammar *)
   rejects "x@1#0";
   rejects "x@1#";
@@ -219,10 +207,10 @@ let test_load_env_seed () =
       (* a good seed makes the env-armed probabilistic site reproducible *)
       let pattern () =
         Fault.disarm ();
-        Unix.putenv Fault.env_var "p@~0.4@1";
+        Unix.putenv Fault.env_var "p@~0.4";
         Unix.putenv Fault.seed_env_var "7";
         Fault.load_env ();
-        List.init 100 (fun _ -> Fault.cut ~site:"p" <> None)
+        List.init 100 (fun _ -> fires "p")
       in
       let a = pattern () and b = pattern () in
       Alcotest.(check (list bool)) "seeded campaigns replay" a b)
@@ -261,7 +249,6 @@ let suite =
     Alcotest.test_case "fires exactly once, on the at-th hit" `Quick
       test_fires_exactly_once;
     Alcotest.test_case "re-arm replaces" `Quick test_rearm_replaces;
-    Alcotest.test_case "truncate budget via cut" `Quick test_truncate_cut;
     Alcotest.test_case "empty site rejected" `Quick test_arm_rejects_empty_site;
     Alcotest.test_case "N-shot window" `Quick test_n_shot_window;
     Alcotest.test_case "probabilistic firing is seeded" `Quick

@@ -33,7 +33,7 @@ let metrics_equal (a : Metrics.t) (b : Metrics.t) =
 let test_roundtrip () =
   let prog = program () in
   let p = Profile.run prog in
-  let p' = Profile_io.of_string ~program:prog (Profile_io.to_string p) in
+  let p' = Profile_io.of_string ~program:prog (Profile_io.to_binary p) in
   Alcotest.(check int) "instrumented" p.Profile.instrumented p'.Profile.instrumented;
   Alcotest.(check int) "events" p.Profile.profiled_events p'.Profile.profiled_events;
   Alcotest.(check int) "dynamic" p.Profile.dynamic_instructions
@@ -63,83 +63,68 @@ let test_file_roundtrip () =
       Alcotest.(check int) "points" (Array.length p.Profile.points)
         (Array.length p'.Profile.points))
 
-(* A v2 file from its body: the body plus the [crc32] trailer over it, so
-   the fixtures below pass the checksum and fail only on their defect. *)
-let with_trailer body =
-  body ^ Printf.sprintf "crc32 %s\n" (Crc32.to_hex (Crc32.string body))
+(* --- v3 files with one defect each ---------------------------------- *)
 
-(* The load must fail, and its message must name [defect]: a fixture that
-   fails on its version or checksum instead does not count. *)
-let expect_failure ~defect text =
-  let prog = program () in
-  match Profile_io.of_string ~program:prog text with
-  | _ -> Alcotest.failf "%s: expected Failure" defect
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%S names %S" msg defect)
-      true
-      (Astring_contains.contains msg defect)
+let encode f =
+  let b = Buffer.create 64 in
+  f b;
+  Buffer.contents b
 
-let test_rejects_bad_version () =
-  expect_failure ~defect:"unsupported version 99"
-    (with_trailer "vprof-profile 99\nmeta instrumented=0 events=0 dynamic=0\n")
+(* The sections of a v3 file in order, the end section included: tag,
+   the section's byte offset, payload. An independent walk over the
+   framing, so a case can name the offset its rejection must cite. *)
+let sections bytes =
+  let r = Codec.reader ~pos:4 bytes in
+  ignore (Codec.read_uvarint r);
+  let rec go acc =
+    if Codec.at_end r then List.rev acc
+    else
+      let off = Codec.pos r in
+      let tag, payload = Codec.read_section r in
+      go ((tag, off, payload) :: acc)
+  in
+  go []
 
-let test_rejects_missing_meta () =
-  expect_failure ~defect:"missing meta" (with_trailer "vprof-profile 2\n")
+let offset_of tag bytes =
+  let _, off, _ = List.find (fun (t, _, _) -> t = tag) (sections bytes) in
+  off
 
-let test_rejects_bad_pc () =
-  expect_failure ~defect:"pc 999 outside the program"
-    (with_trailer
-       "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n")
+(* Frames [secs] as a v3 file under [version], closed (unless
+   [~trailer:false]) by an end section whose whole-file CRC is right: a
+   hand-framed file fails only on the defect it was built with. *)
+let frame ?(version = 3) ?(trailer = true) secs =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "\x89VP3";
+  Codec.put_uvarint b version;
+  List.iter (fun (tag, payload) -> Codec.put_section b ~tag payload) secs;
+  if trailer then begin
+    let crc = encode (fun t -> Codec.put_u32 t (Crc32.string (Buffer.contents b))) in
+    Codec.put_section b ~tag:'E' crc
+  end;
+  Buffer.contents b
 
-let test_rejects_non_value_pc () =
-  (* the final halt produces no value *)
-  let prog = program () in
-  let halt_pc = Array.length prog.Asm.code - 1 in
-  expect_failure ~defect:"not a value-producing instruction"
-    (with_trailer
-       (Printf.sprintf
-          "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=%d proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n"
-          halt_pc))
+(* The sections of [bytes] before its end section, as [frame] takes them. *)
+let body_sections bytes =
+  List.filter_map
+    (fun (tag, _, payload) -> if tag = 'E' then None else Some (tag, payload))
+    (sections bytes)
 
-let test_rejects_orphan_tv () =
-  expect_failure ~defect:"tv line before any point"
-    (with_trailer
-       "vprof-profile 2\nmeta instrumented=0 events=0 dynamic=0\ntv 1 2\n")
+(* The synthetic program's profile cut down to its first point, edited by
+   [f]. [to_binary] frames whatever it is given, so every checksum of the
+   result holds and only the edit can fail. *)
+let one_point ?(meta = Fun.id) f =
+  let p = meta (Profile.run (program ())) in
+  { p with Profile.points = [| f p.Profile.points.(0) |] }
 
-let test_rejects_garbage () =
-  expect_failure ~defect:"unknown line tag \"wibble\""
-    (with_trailer
-       "vprof-profile 2\nmeta instrumented=0 events=0 dynamic=0\nwibble\n")
+let with_metrics f (pt : Profile.point) =
+  { pt with Profile.p_metrics = f pt.Profile.p_metrics }
 
-let test_roundtrip_real_workload () =
-  (* not just the synthetic loop: a full built-in workload's profile must
-     survive the trip, down to byte-identical re-serialization *)
-  let w = Workloads.find "go" in
-  let prog = w.Workload.wbuild Workload.Test in
-  let p = Profile.run prog in
-  let s = Profile_io.to_string p in
-  let p' = Profile_io.of_string ~program:prog s in
-  Alcotest.(check int) "points" (Array.length p.Profile.points)
-    (Array.length p'.Profile.points);
-  Alcotest.(check string) "re-serialization is byte-identical" s
-    (Profile_io.to_string p')
+(* A count no profile reaches, so its uvarint occurs once in a payload. *)
+let sentinel = 0x0ABCDEF
 
-let test_bad_pc_failure_cites_line () =
-  let prog = program () in
-  match
-    Profile_io.of_string ~program:prog
-      (with_trailer
-         "vprof-profile 2\nmeta instrumented=1 events=1 dynamic=1\npoint pc=999 proc=- total=1 lvp=0 invtop=0 invall=0 zero=0 distinct=1 saturated=0 stridetop=0 stride=none\n")
-  with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "cites line 3" true
-      (Astring_contains.contains msg "line 3");
-    Alcotest.(check bool) "names the bad pc" true
-      (Astring_contains.contains msg "pc 999")
-
-(* --- the v2 checksummed format --- *)
+(* Nine uvarint bytes for 2^62: past [max_int], this reads back as a
+   negative OCaml int unless the decoder refuses it. *)
+let negative_uvarint = String.make 8 '\x80' ^ "\x40"
 
 let find_sub s sub =
   let sl = String.length sub in
@@ -150,25 +135,149 @@ let find_sub s sub =
   in
   go 0
 
+(* [bytes] re-framed with the [tag] section's [sentinel] count replaced by
+   [negative_uvarint]. *)
+let negative_count ~tag bytes =
+  let needle = encode (fun b -> Codec.put_uvarint b sentinel) in
+  let edited = ref false in
+  let secs =
+    List.map
+      (fun (t, payload) ->
+        let i = find_sub payload needle in
+        if t <> tag || !edited || i < 0 then (t, payload)
+        else begin
+          edited := true;
+          let rest = i + String.length needle in
+          ( t,
+            String.sub payload 0 i ^ negative_uvarint
+            ^ String.sub payload rest (String.length payload - rest) )
+        end)
+      (body_sections bytes)
+  in
+  Alcotest.(check bool) "the sentinel was found" true !edited;
+  frame secs
+
+(* The load must fail, and its message must name [defect] at byte [at]: a
+   file that fails on its framing or checksum instead does not count. *)
+let expect_failure ?at ~defect text =
+  let prog = program () in
+  let want =
+    match at with
+    | None -> defect
+    | Some off -> Printf.sprintf "byte %d: %s" off defect
+  in
+  match Profile_io.of_string ~program:prog text with
+  | _ -> Alcotest.failf "%s: expected Failure" defect
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %S" msg want)
+      true
+      (Astring_contains.contains msg want)
+
+let test_rejects_bad_version () =
+  let good = Profile_io.to_binary (Profile.run (program ())) in
+  expect_failure ~at:4 ~defect:"unsupported binary version 99"
+    (frame ~version:99 (body_sections good))
+
+let test_rejects_missing_meta () =
+  expect_failure ~defect:"missing meta section" (frame [])
+
+let test_rejects_bad_pc () =
+  let b =
+    Profile_io.to_binary (one_point (fun pt -> { pt with Profile.p_pc = 999 }))
+  in
+  expect_failure ~at:(offset_of 'P' b) ~defect:"pc 999 outside the program" b
+
+let test_rejects_non_value_pc () =
+  (* the final halt produces no value *)
+  let halt_pc = Array.length (program ()).Asm.code - 1 in
+  let b =
+    Profile_io.to_binary
+      (one_point (fun pt -> { pt with Profile.p_pc = halt_pc }))
+  in
+  expect_failure ~at:(offset_of 'P' b)
+    ~defect:
+      (Printf.sprintf "pc %d is not a value-producing instruction" halt_pc)
+    b
+
+let test_rejects_garbage () =
+  (* a checksum-valid section of a kind v3 does not have *)
+  let good = Profile_io.to_binary (Profile.run (program ())) in
+  let secs =
+    List.concat_map
+      (fun ((tag, _) as s) -> if tag = 'S' then [ s; ('Z', "wibble") ] else [ s ])
+      (body_sections good)
+  in
+  let b = frame secs in
+  expect_failure ~at:(offset_of 'Z' b) ~defect:"unknown section tag 'Z'" b
+
+let test_rejects_negative_total () =
+  let b =
+    negative_count ~tag:'P'
+      (Profile_io.to_binary
+         (one_point
+            (with_metrics (fun m -> { m with Metrics.total = sentinel }))))
+  in
+  expect_failure ~at:(offset_of 'P' b) ~defect:"varint overflows int" b
+
+let test_rejects_negative_meta_count () =
+  let b =
+    negative_count ~tag:'M'
+      (Profile_io.to_binary
+         (one_point
+            ~meta:(fun p -> { p with Profile.dynamic_instructions = sentinel })
+            Fun.id))
+  in
+  expect_failure ~at:(offset_of 'M' b) ~defect:"varint overflows int" b
+
+let test_rejects_nan_metric () =
+  let b =
+    Profile_io.to_binary
+      (one_point (with_metrics (fun m -> { m with Metrics.lvp = Float.nan })))
+  in
+  expect_failure ~at:(offset_of 'P' b) ~defect:"field lvp is NaN" b
+
+let test_rejects_negative_tv_count () =
+  let b =
+    negative_count ~tag:'P'
+      (Profile_io.to_binary
+         (one_point
+            (with_metrics (fun m ->
+                 { m with Metrics.top_values = [| (7L, sentinel) |] }))))
+  in
+  expect_failure ~at:(offset_of 'P' b) ~defect:"varint overflows int" b
+
+let test_rejects_bytes_after_end () =
+  let good = Profile_io.to_binary (Profile.run (program ())) in
+  expect_failure ~at:(String.length good) ~defect:"bytes after the end section"
+    (good ^ "\000")
+
+let test_rejects_missing_end () =
+  let good = Profile_io.to_binary (Profile.run (program ())) in
+  let b = frame ~trailer:false (body_sections good) in
+  expect_failure ~at:(String.length b) ~defect:"missing end section" b
+
+let test_corruption_detected () =
+  let good = Profile_io.to_binary (Profile.run (program ())) in
+  (* flip the first byte of the first point's payload: its length and
+     framing still hold, so only the section's checksum can notice *)
+  let off = offset_of 'P' good in
+  let _, _, payload = List.find (fun (t, _, _) -> t = 'P') (sections good) in
+  let at =
+    off + 1
+    + String.length
+        (encode (fun b -> Codec.put_uvarint b (String.length payload)))
+  in
+  let b = Bytes.of_string good in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xff));
+  expect_failure ~at ~defect:"section 'P' checksum mismatch" (Bytes.to_string b)
+
+(* --- text is rendered, never read ------------------------------------ *)
+
 (* A v2 text without its crc trailer line. *)
 let body_of_v2 s =
   let body_end = String.rindex_from s (String.length s - 2) '\n' + 1 in
   String.sub s 0 body_end
-
-(* Rewrite the first [" key=<token>"] occurrence, length-changing allowed. *)
-let mutate_field text key value =
-  let needle = " " ^ key ^ "=" in
-  let i = find_sub text needle in
-  Alcotest.(check bool) (Printf.sprintf "text has field %s" key) true (i >= 0);
-  let start = i + String.length needle in
-  let stop = ref start in
-  while
-    !stop < String.length text && text.[!stop] <> ' ' && text.[!stop] <> '\n'
-  do
-    incr stop
-  done;
-  String.sub text 0 start ^ value
-  ^ String.sub text !stop (String.length text - !stop)
 
 let test_v2_header_and_trailer () =
   let p = Profile.run (program ()) in
@@ -179,178 +288,66 @@ let test_v2_header_and_trailer () =
   Alcotest.(check int) "trailer is crc32 + 8 hex digits" 15 (String.length tail);
   Alcotest.(check string) "trailer tag" "crc32 " (String.sub tail 0 6)
 
-let test_corruption_detected () =
-  let prog = program () in
-  let s = Profile_io.to_string (Profile.run prog) in
-  (* flip one digit without changing the length: only the checksum can
-     notice *)
-  let i = find_sub s "total=" + 6 in
-  let b = Bytes.of_string s in
-  Bytes.set b i (if Bytes.get b i = '9' then '8' else '9');
-  match Profile_io.of_string ~program:prog (Bytes.to_string b) with
-  | _ -> Alcotest.fail "expected checksum failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the checksum" true
-      (Astring_contains.contains msg "crc32 mismatch")
-
-let test_truncation_detected_and_salvageable () =
-  let prog = program () in
-  let p = Profile.run prog in
-  let s = Profile_io.to_string p in
-  let cut = String.sub s 0 (String.length s * 2 / 3) in
-  (match Profile_io.of_string ~program:prog cut with
-   | _ -> Alcotest.fail "expected checksum failure"
-   | exception Failure msg ->
-     Alcotest.(check bool) "blames the checksum or truncation" true
-       (Astring_contains.contains msg "crc32"
-        || Astring_contains.contains msg "truncated"));
-  let r = Profile_io.of_string ~salvage:true ~program:prog cut in
-  Alcotest.(check bool) "salvage keeps a strict prefix" true
-    (Array.length r.Profile.points < Array.length p.Profile.points);
-  Array.iteri
-    (fun i (pt : Profile.point) ->
-      Alcotest.(check int) "salvaged pc matches the original"
-        p.Profile.points.(i).Profile.p_pc pt.Profile.p_pc)
-    r.Profile.points
-
-let prop_salvage_any_truncation =
-  let prog = program () in
-  let p = Profile.run prog in
-  let s = Profile_io.to_string p in
-  let full = String.length s in
-  (* cuts from just after the meta line to one byte short of the trailer's
-     newline: strict parsing must always fail (the checksum line is
-     damaged or gone), salvage must always recover a pc-prefix *)
-  let first_point = find_sub s "\npoint " + 1 in
-  QCheck.Test.make ~name:"any truncation: strict fails, salvage recovers"
-    ~count:200
-    (QCheck.make QCheck.Gen.(int_range first_point (full - 2)))
-    (fun cut_at ->
-      let cut = String.sub s 0 cut_at in
-      let strict_fails =
-        match Profile_io.of_string ~program:prog cut with
-        | _ -> false
-        | exception Failure _ -> true
-      in
-      let r = Profile_io.of_string ~salvage:true ~program:prog cut in
-      let prefix_ok = ref (Array.length r.Profile.points <= Array.length p.Profile.points) in
-      Array.iteri
-        (fun i (pt : Profile.point) ->
-          if p.Profile.points.(i).Profile.p_pc <> pt.Profile.p_pc then
-            prefix_ok := false)
-        r.Profile.points;
-      strict_fails && !prefix_ok)
-
 let test_v1_rejected () =
   (* what a pre-v2 writer produced: the same body claiming version 1,
      with no trailer *)
   let body = body_of_v2 (Profile_io.to_string (Profile.run (program ()))) in
   let header_end = String.index body '\n' in
-  expect_failure ~defect:"unsupported version 1"
+  expect_failure ~at:0 ~defect:"not a v3 profile"
     ("vprof-profile 1"
     ^ String.sub body header_end (String.length body - header_end))
 
-let test_rejects_negative_total () =
-  let prog = program () in
-  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match
-    Profile_io.of_string ~program:prog
-      (with_trailer (mutate_field body "total" "-5"))
-  with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the field" true
-      (Astring_contains.contains msg "total is negative");
-    Alcotest.(check bool) "cites line 3" true
-      (Astring_contains.contains msg "line 3")
-
-let test_rejects_negative_meta_count () =
-  let prog = program () in
-  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match
-    Profile_io.of_string ~program:prog
-      (with_trailer (mutate_field body "dynamic" "-1"))
-  with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the field" true
-      (Astring_contains.contains msg "dynamic is negative");
-    Alcotest.(check bool) "cites line 2" true
-      (Astring_contains.contains msg "line 2")
-
-let test_rejects_nan_metric () =
-  let prog = program () in
-  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  match
-    Profile_io.of_string ~program:prog
-      (with_trailer (mutate_field body "lvp" "nan"))
-  with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the NaN" true
-      (Astring_contains.contains msg "lvp is NaN");
-    Alcotest.(check bool) "cites line 3" true
-      (Astring_contains.contains msg "line 3")
-
-let test_rejects_negative_tv_count () =
-  let prog = program () in
-  let body = body_of_v2 (Profile_io.to_string (Profile.run prog)) in
-  let lineno = ref 0 in
-  let mutated =
-    String.split_on_char '\n' body
-    |> List.mapi (fun i l ->
-           if !lineno = 0 && String.length l > 3 && String.sub l 0 3 = "tv "
-           then begin
-             lineno := i + 1;
-             match String.split_on_char ' ' l with
-             | [ "tv"; v; _ ] -> Printf.sprintf "tv %s -3" v
-             | _ -> l
-           end
-           else l)
-    |> String.concat "\n" |> with_trailer
-  in
-  Alcotest.(check bool) "profile has a tv line" true (!lineno > 0);
-  match Profile_io.of_string ~program:prog mutated with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the tv count" true
-      (Astring_contains.contains msg "tv count is negative");
-    Alcotest.(check bool) "cites the line" true
-      (Astring_contains.contains msg (Printf.sprintf "line %d" !lineno))
-
 let test_missing_trailer_named () =
-  (* a v2 body cut exactly before its trailer: every line parses, so only
-     the missing checksum line can reject it *)
   let body = body_of_v2 (Profile_io.to_string (Profile.run (program ()))) in
-  expect_failure ~defect:"no trailing crc32 line" body
+  expect_failure ~at:0 ~defect:"not a v3 profile" body
 
-let test_injected_torn_write_salvageable () =
-  let prog = program () in
+let test_roundtrip_real_workload () =
+  (* not just the synthetic loop: a full built-in workload's profile must
+     survive the trip, down to byte-identical re-serialization *)
+  let w = Workloads.find "go" in
+  let prog = w.Workload.wbuild Workload.Test in
   let p = Profile.run prog in
-  (* write_file defaults to binary v3; the truncation offset must land
-     inside what is actually written *)
-  let full = String.length (Profile_io.to_binary p) in
-  let path = Filename.temp_file "vprof" ".profile" in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm ();
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Fault.arm
-        ~action:(Fault.Truncate (full * 2 / 3))
-        ~site:"profile_io.write" ~at:1 ();
-      (match Profile_io.write_file p path with
-       | () -> Alcotest.fail "expected the injected crash"
-       | exception Fault.Injected _ -> ());
-      Fault.disarm ();
-      (* the torn file fails its checksum on a strict load... *)
-      (match Profile_io.read_file ~program:prog path with
-       | _ -> Alcotest.fail "expected checksum failure"
-       | exception Failure _ -> ());
-      (* ...and salvage recovers the surviving prefix *)
-      let r = Profile_io.read_file ~salvage:true ~program:prog path in
-      Alcotest.(check bool) "recovered a prefix" true
-        (Array.length r.Profile.points <= Array.length p.Profile.points))
+  let b = Profile_io.to_binary p in
+  let p' = Profile_io.of_string ~program:prog b in
+  Alcotest.(check int) "points" (Array.length p.Profile.points)
+    (Array.length p'.Profile.points);
+  Alcotest.(check string) "re-serialization is byte-identical" b
+    (Profile_io.to_binary p');
+  Alcotest.(check string) "same text rendering" (Profile_io.to_string p)
+    (Profile_io.to_string p')
+
+(* --- truncation: every cut fails ------------------------------------- *)
+
+let fails_to_load ~program bytes =
+  match Profile_io.of_string ~program bytes with
+  | _ -> false
+  | exception Failure _ -> true
+
+let test_truncation_detected () =
+  let prog = program () in
+  let b = Profile_io.to_binary (Profile.run prog) in
+  let cut = String.sub b 0 (String.length b * 2 / 3) in
+  match Profile_io.of_string ~program:prog cut with
+  | _ -> Alcotest.fail "expected a truncation failure"
+  | exception Failure msg ->
+    Alcotest.(check bool) (Printf.sprintf "%S blames the truncation" msg) true
+      (Astring_contains.contains msg "truncated"
+       || Astring_contains.contains msg "end of input")
+
+let prop_any_truncation_of_go_fails =
+  let prog = (Workloads.find "go").Workload.wbuild Workload.Test in
+  let b = Profile_io.to_binary (Profile.run prog) in
+  QCheck.Test.make ~name:"go profile: any cut fails" ~count:200
+    (QCheck.make QCheck.Gen.(int_bound (String.length b - 1)))
+    (fun cut_at -> fails_to_load ~program:prog (String.sub b 0 cut_at))
+
+let test_every_cut_fails () =
+  let prog = program () in
+  let b = Profile_io.to_binary (Profile.run prog) in
+  for cut_at = 0 to String.length b - 1 do
+    if not (fails_to_load ~program:prog (String.sub b 0 cut_at)) then
+      Alcotest.failf "a cut at byte %d of %d loaded" cut_at (String.length b)
+  done
 
 let test_write_leaves_no_temp_files () =
   let p = Profile.run (program ()) in
@@ -373,7 +370,7 @@ let test_loaded_profile_drives_predictor_filtering () =
   (* the round-tripped profile is as usable as the fresh one *)
   let prog = program () in
   let p = Profile.run prog in
-  let p' = Profile_io.of_string ~program:prog (Profile_io.to_string p) in
+  let p' = Profile_io.of_string ~program:prog (Profile_io.to_binary p) in
   let fresh = Predictor.filtered ~profile:p ~threshold:0.5 (Predictor.lvp ()) in
   let loaded = Predictor.filtered ~profile:p' ~threshold:0.5 (Predictor.lvp ()) in
   Alcotest.(check string) "same construction" (Predictor.name fresh)
@@ -386,12 +383,11 @@ let test_v3_magic_and_sniff () =
   let p = Profile.run prog in
   let b = Profile_io.to_binary p in
   Alcotest.(check string) "magic" "\x89VP3" (String.sub b 0 4);
-  (* of_string dispatches on the first byte: both formats load through
-     the same entry point *)
-  let from_bin = Profile_io.of_string ~program:prog b in
-  let from_text = Profile_io.of_string ~program:prog (Profile_io.to_string p) in
-  Alcotest.(check string) "same profile either way"
-    (Profile_io.to_string from_bin) (Profile_io.to_string from_text)
+  Alcotest.(check bool) "v3 loads" true
+    (Profile_io.to_string (Profile_io.of_string ~program:prog b)
+     = Profile_io.to_string p);
+  (* the text rendering is for reading: of_string turns it away at once *)
+  expect_failure ~at:0 ~defect:"not a v3 profile" (Profile_io.to_string p)
 
 let test_v3_roundtrip_exact () =
   let prog = program () in
@@ -472,46 +468,15 @@ let random_profile =
   in
   (prog, profile)
 
+(* The v3 round trip, compared through the v2 text rendering. *)
 let prop_v3_equals_v2_on_random_profiles =
   let prog, gen = random_profile in
   QCheck.Test.make ~name:"v3 and v2 agree on random profiles" ~count:100
     (QCheck.make gen) (fun p ->
-      let via_v3 = Profile_io.of_string ~program:prog (Profile_io.to_binary p) in
-      let via_v2 = Profile_io.of_string ~program:prog (Profile_io.to_string p) in
-      Profile_io.to_string via_v3 = Profile_io.to_string via_v2
-      && Profile_io.to_string via_v3 = Profile_io.to_string p)
-
-let prop_v3_salvage_any_truncation =
-  let prog = program () in
-  let p = Profile.run prog in
-  let b = Profile_io.to_binary p in
-  let full = String.length b in
-  QCheck.Test.make
-    ~name:"v3 truncation: strict fails, salvage recovers a prefix or fails clean"
-    ~count:300
-    (QCheck.make QCheck.Gen.(int_bound (full - 1)))
-    (fun cut_at ->
-      let cut = String.sub b 0 cut_at in
-      let strict_fails =
-        match Profile_io.of_string ~program:prog cut with
-        | _ -> false
-        | exception Failure _ -> true
-      in
-      let salvage_ok =
-        match Profile_io.of_string ~salvage:true ~program:prog cut with
-        | r ->
-          (* whatever survives must be a pc-prefix of the original *)
-          Array.length r.Profile.points <= Array.length p.Profile.points
-          && Array.for_all
-               (fun i ->
-                 r.Profile.points.(i).Profile.p_pc
-                 = p.Profile.points.(i).Profile.p_pc)
-               (Array.init (Array.length r.Profile.points) Fun.id)
-        | exception Failure _ ->
-          (* acceptable only while the meta section itself is torn *)
-          true
-      in
-      strict_fails && salvage_ok)
+      let b = Profile_io.to_binary p in
+      let p' = Profile_io.of_string ~program:prog b in
+      Profile_io.to_string p' = Profile_io.to_string p
+      && Profile_io.to_binary p' = b)
 
 let test_v3_telemetry_counters () =
   let prog = program () in
@@ -535,19 +500,16 @@ let suite =
     Alcotest.test_case "rejects missing meta" `Quick test_rejects_missing_meta;
     Alcotest.test_case "rejects bad pc" `Quick test_rejects_bad_pc;
     Alcotest.test_case "rejects non-value pc" `Quick test_rejects_non_value_pc;
-    Alcotest.test_case "rejects orphan tv" `Quick test_rejects_orphan_tv;
     Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage;
     Alcotest.test_case "roundtrip on a real workload" `Quick
       test_roundtrip_real_workload;
-    Alcotest.test_case "bad pc failure cites its line" `Quick
-      test_bad_pc_failure_cites_line;
     Alcotest.test_case "v2 header and crc trailer" `Quick
       test_v2_header_and_trailer;
     Alcotest.test_case "corruption detected by checksum" `Quick
       test_corruption_detected;
-    Alcotest.test_case "truncation detected, salvageable" `Quick
-      test_truncation_detected_and_salvageable;
-    QCheck_alcotest.to_alcotest prop_salvage_any_truncation;
+    Alcotest.test_case "truncated file rejected" `Quick
+      test_truncation_detected;
+    QCheck_alcotest.to_alcotest prop_any_truncation_of_go_fails;
     Alcotest.test_case "v1 files rejected" `Quick test_v1_rejected;
     Alcotest.test_case "rejects negative total" `Quick
       test_rejects_negative_total;
@@ -558,8 +520,10 @@ let suite =
       test_rejects_negative_tv_count;
     Alcotest.test_case "v2 body without crc32 trailer rejected" `Quick
       test_missing_trailer_named;
-    Alcotest.test_case "injected torn write is salvageable" `Quick
-      test_injected_torn_write_salvageable;
+    Alcotest.test_case "rejects bytes after the end section" `Quick
+      test_rejects_bytes_after_end;
+    Alcotest.test_case "rejects a missing end section" `Quick
+      test_rejects_missing_end;
     Alcotest.test_case "atomic write leaves no temp files" `Quick
       test_write_leaves_no_temp_files;
     Alcotest.test_case "loaded profile usable" `Quick
@@ -569,6 +533,7 @@ let suite =
     Alcotest.test_case "v3 roundtrip exact" `Quick test_v3_roundtrip_exact;
     Alcotest.test_case "v3 smaller than v2" `Quick test_v3_smaller_than_v2;
     QCheck_alcotest.to_alcotest prop_v3_equals_v2_on_random_profiles;
-    QCheck_alcotest.to_alcotest prop_v3_salvage_any_truncation;
+    Alcotest.test_case "v3 truncation: every cut fails" `Quick
+      test_every_cut_fails;
     Alcotest.test_case "v3 telemetry counters" `Quick
       test_v3_telemetry_counters ]

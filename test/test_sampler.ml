@@ -215,24 +215,6 @@ let test_invariance_error_no_shared_points () =
   Alcotest.(check bool) "not NaN" false (Float.is_nan e);
   Alcotest.(check (float 1e-9)) "zero by definition" 0. e
 
-let test_merge_identity_and_sum () =
-  let prog = stationary_program 5_000 in
-  let r () = Sampler.run ~selection:`Loads prog in
-  let one = r () in
-  let same = Sampler.merge [ one ] in
-  Alcotest.(check int) "merge [r] keeps totals" one.Sampler.total_events
-    same.Sampler.total_events;
-  let m = Sampler.merge [ r (); r () ] in
-  Alcotest.(check int) "events sum" (2 * one.Sampler.total_events)
-    m.Sampler.total_events;
-  Alcotest.(check int) "profiled sum" (2 * one.Sampler.profiled_events)
-    m.Sampler.profiled_events;
-  let p = m.Sampler.points.(0) and q = one.Sampler.points.(0) in
-  Alcotest.(check int) "point events sum" (2 * q.Sampler.s_events)
-    p.Sampler.s_events;
-  Alcotest.(check bool) "convergence is the conjunction" true
-    (Bool.equal p.Sampler.s_converged q.Sampler.s_converged)
-
 (* ---- the machine gate against the in-hook countdown --------------- *)
 
 (* The reference model: the sampler as it ran before the machine withheld
@@ -376,8 +358,6 @@ let suite =
   [ Alcotest.test_case "no skip equals full" `Quick test_no_skip_equals_full;
     Alcotest.test_case "no shared live points: error is 0, not NaN" `Quick
       test_invariance_error_no_shared_points;
-    Alcotest.test_case "merge identity and sums" `Quick
-      test_merge_identity_and_sum;
     Alcotest.test_case "skipping reduces overhead" `Quick
       test_skipping_reduces_overhead;
     Alcotest.test_case "converges on stationary stream" `Quick
