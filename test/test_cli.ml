@@ -686,7 +686,6 @@ let suite =
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload_fails;
     Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment_fails;
     Alcotest.test_case "bad flag" `Quick test_bad_flag_usage_error;
-    Alcotest.test_case "run takes no -j" `Quick test_jobs_only_where_it_acts;
     Alcotest.test_case "malformed VPROF_FAULT" `Quick
       test_malformed_fault_spec_usage_error;
     Alcotest.test_case "malformed entry in a multi-site campaign" `Quick
@@ -724,4 +723,5 @@ let suite =
     Alcotest.test_case "bad --tnv-size" `Quick test_bad_tnv_size;
     Alcotest.test_case "bad --clear-interval" `Quick test_bad_clear_interval;
     Alcotest.test_case "failure line same with --store" `Slow
-      test_failure_line_same_with_store ]
+      test_failure_line_same_with_store;
+    Alcotest.test_case "run takes no -j" `Quick test_jobs_only_where_it_acts ]
