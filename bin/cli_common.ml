@@ -20,7 +20,6 @@ let workload_conv =
               wmimics = "(file)";
               wdescr = s;
               wbuild = (fun _ -> prog);
-              wshard = None;
               warities = [] }
         | exception Parser.Parse_error (line, msg) ->
           Error (`Msg (Printf.sprintf "%s:%d: %s" s line msg))
@@ -122,12 +121,13 @@ let shards_arg =
     & info [ "shards" ] ~docv:"K"
         ~doc:
           "Split one workload execution into K shards profiled in \
-           parallel (per-input-chunk programs when the workload supports \
-           them, icount-window slices of the full program otherwise) and \
-           merge the K profiles in shard order. $(b,--shards 1) is \
-           byte-identical to unsharded profiling, and merged output is \
-           identical however the shards were scheduled. 0 means the \
-           machine's recommended domain count.")
+           parallel (each runs the full program and profiles one \
+           icount window of it) and merge the K profiles in shard order. \
+           $(b,--shards 1) is byte-identical to unsharded profiling; at \
+           any K the per-point execution counts and totals equal the \
+           serial run's, and merged output is identical however the \
+           shards were scheduled. 0 means the machine's recommended \
+           domain count.")
 
 let effective_shards k = if k <= 0 then Driver.default_jobs () else k
 

@@ -719,10 +719,10 @@ let experiments_store_arg =
     & opt (some string) None
     & info [ "store"; "checkpoint" ] ~docv:"DIR"
         ~doc:
-          "Profile store directory: each finished experiment (and each \
-           value profile it needs) is committed to DIR as the run \
-           progresses, keyed by its fingerprint (experiment, fuel, \
-           shards). A later run with the same DIR serves what is already \
+          "Profile store directory: each finished experiment's rendered \
+           tables are committed to DIR as the run progresses, keyed by \
+           its fingerprint (experiment, fuel, shards); nothing else is. A \
+           later run with the same DIR serves what is already \
            committed without executing it, so rerunning a killed suite \
            finishes only the missing work, byte-identical to a \
            straight-through run. Inspect with $(b,vprof store).")
@@ -757,23 +757,9 @@ let write_csv dir (spec : Experiments.spec) tables =
       Printf.printf "wrote %s\n" path)
     tables
 
-let print_spec_tables csv ((spec : Experiments.spec), tables) =
-  Printf.printf "== %s: %s  [%s] ==\n" spec.id spec.title spec.paper_ref;
-  List.iter
-    (fun t ->
-      Table.print t;
-      print_newline ())
-    tables;
-  match csv with Some dir -> write_csv dir spec tables | None -> ()
-
 (* Exit codes (see the trailer in [main]): 0 success, 1 runtime failure
    (a trap, or an experiment that failed all its retries), 2 usage
    error. *)
-
-let report_failures failures =
-  List.iter
-    (fun f -> prerr_endline (Experiments.string_of_failure f))
-    failures
 
 let run_experiments id csv jobs shards store retries fail_fast fuel trace
     metrics gov =
@@ -788,85 +774,77 @@ let run_experiments id csv jobs shards store retries fail_fast fuel trace
              (List.map (fun (s : Experiments.spec) -> s.id) Experiments.all));
         exit 2
   in
-  (* the one run_config both entry points below share — the sinks ride in
-     the config, so the library (not the CLI) owns enabling/writing them *)
+  if csv <> None && store <> None then begin
+    prerr_endline
+      "vprof: --csv needs the experiments' tables, which \
+       --store/--checkpoint runs do not retain; use one or the other";
+    exit 2
+  end;
   let config =
-    { Experiments.default_run_config with
-      Experiments.rc_jobs = Some (effective_jobs jobs);
+    { Experiments.rc_jobs = Some (effective_jobs jobs);
       rc_fuel = fuel;
       rc_retries = max 0 retries;
       rc_fail_fast = fail_fast;
-      rc_trace = trace;
-      rc_metrics = metrics;
-      rc_shards = effective_shards shards }
+      rc_shards = effective_shards shards;
+      rc_store = Option.map open_store store }
+  in
+  (* --csv keeps each experiment's tables as its run returns them; a run
+     without it holds none (the cold suite's peak heap is what
+     cli_suite's peak_rss_mb reads) *)
+  let runs =
+    List.map
+      (fun (spec : Experiments.spec) ->
+        let tables = Atomic.make [] in
+        let run () =
+          let ts = spec.run () in
+          Atomic.set tables ts;
+          ts
+        in
+        ((if csv = None then spec else { spec with run }), tables))
+      specs
   in
   (* governance is armed around the whole supervised run: the supervisor
      polls the budget between attempts and classifies Deadline /
      Mem_pressure trips per job, so a budgeted suite records failures
      (exit 1) rather than dying with exit 3 *)
-  with_governance gov @@ fun () ->
-  match store with
-  | None ->
-    let rep = Experiments.run ~config specs in
-    List.iter (fun r -> print_spec_tables csv r) rep.Experiments.results;
-    if rep.Experiments.failures <> [] then begin
-      report_failures rep.Experiments.failures;
-      exit 1
-    end
-  | Some dir ->
-    (* the rendered-payload path: each experiment's bytes are committed
-       as they land and cached units are served without running
-       (byte-identical output either way, since [Experiments.render] is
-       the payload) *)
-    if csv <> None then begin
-      prerr_endline
-        "vprof: --csv needs the experiments' tables, which \
-         --store/--checkpoint runs do not retain; use one or the other";
-      exit 2
-    end;
-    let rep =
-      Experiments.run_strings
-        ~config:{ config with Experiments.rc_store = Some (open_store dir) }
-        specs
-    in
-    List.iter
-      (fun (o : string Supervisor.outcome) ->
-        match o.Supervisor.o_result with
-        | Ok payload -> print_string payload
-        | Error _ -> ())
-      rep.Supervisor.outcomes;
-    (* visible hit accounting on stderr, so stdout stays byte-identical
-       between cold and warm runs *)
-    let served =
-      List.length
-        (List.filter
-           (fun (o : string Supervisor.outcome) ->
-             o.Supervisor.o_attempts = 0 && Result.is_ok o.Supervisor.o_result)
-           rep.Supervisor.outcomes)
-    in
-    Printf.eprintf "store: %d of %d experiments served from cache\n" served
-      (List.length rep.Supervisor.outcomes);
-    (match Supervisor.failures rep with
-     | [] -> ()
-     | failures ->
-       report_failures
-         (List.filter_map
+  let rep =
+    Obs.with_sinks ?trace ?metrics @@ fun () ->
+    with_governance gov @@ fun () ->
+    Experiments.run_strings ~config (List.map fst runs)
+  in
+  let outcomes = rep.Supervisor.outcomes in
+  List.iter2
+    (fun (spec, tables) (o : string Supervisor.outcome) ->
+      match o.Supervisor.o_result with
+      | Ok payload ->
+        print_string payload;
+        Option.iter (fun dir -> write_csv dir spec (Atomic.get tables)) csv
+      | Error _ -> ())
+    runs outcomes;
+  (* visible hit accounting on stderr, so stdout stays byte-identical
+     between cold and warm runs *)
+  if store <> None then
+    Printf.eprintf "store: %d of %d experiments served from cache\n"
+      (List.length
+         (List.filter
             (fun (o : string Supervisor.outcome) ->
-              match o.Supervisor.o_result with
-              | Ok _ -> None
-              | Error e ->
-                Some
-                  { Experiments.f_spec = Experiments.find o.Supervisor.o_name;
-                    f_attempts = o.Supervisor.o_attempts;
-                    f_error = e })
-            failures);
-       Printf.eprintf
-         "%d of %d experiments failed; completed work is committed under %s \
-          — rerun with the same directory to retry only the failures\n"
-         (List.length failures)
-         (List.length rep.Supervisor.outcomes)
-         dir;
-       exit 1)
+              o.o_attempts = 0 && Result.is_ok o.o_result)
+            outcomes))
+      (List.length outcomes);
+  match Supervisor.failures rep with
+  | [] -> ()
+  | failures ->
+    List.iter
+      (fun o -> Option.iter prerr_endline (Experiments.failure_line o))
+      failures;
+    Option.iter
+      (fun dir ->
+        Printf.eprintf
+          "%d of %d experiments failed; completed work is committed under %s \
+           — rerun with the same directory to retry only the failures\n"
+          (List.length failures) (List.length outcomes) dir)
+      store;
+    exit 1
 
 (* fused *)
 

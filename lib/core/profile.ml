@@ -129,34 +129,21 @@ type shard = {
    [Machine.icount] is exactly that index). Windows that partition
    [1 .. total] therefore partition the profiled event stream, and the
    shard's accountable icount is the window length — summing to the
-   serial run's dynamic_instructions. Without [window] the shard owns the
-   whole run (the per-input-chunk mode, where the chunk is the slice). *)
-let run_shard ?config ?(selection = `All) ?window ?fuel prog =
+   serial run's dynamic_instructions. *)
+let run_shard ?config ?(selection = `All) ~window:(lo, hi) ?fuel prog =
   let machine = Machine.create prog in
   let started = Counters.now () in
   let pcs = Atom.select prog selection in
   let states = List.map (fun pc -> (pc, Vstate.create ?config ())) pcs in
-  (match window with
-   | None ->
-     List.iter
-       (fun (pc, vs) ->
-         Machine.add_hook machine pc (fun value _addr ->
-             Vstate.observe vs value))
-       states
-   | Some (lo, hi) ->
-     List.iter
-       (fun (pc, vs) ->
-         Machine.add_hook machine pc (fun value _addr ->
-             let i = Machine.icount machine in
-             if lo < i && i <= hi then Vstate.observe vs value))
-       states);
+  List.iter
+    (fun (pc, vs) ->
+      Machine.add_hook machine pc (fun value _addr ->
+          let i = Machine.icount machine in
+          if lo < i && i <= hi then Vstate.observe vs value))
+    states;
   ignore (Machine.run ?fuel machine);
   let total = Machine.icount machine in
-  let sh_icount =
-    match window with
-    | None -> total
-    | Some (lo, hi) -> min hi total - min lo total
-  in
+  let sh_icount = min hi total - min lo total in
   let stats = Counters.create () in
   stats.Counters.events_seen <- sh_icount;
   stats.Counters.events_profiled <-

@@ -57,13 +57,12 @@ type shard
     [lo < i <= hi]. Windows partitioning [1 .. total] partition the
     profiled event stream, and the shard's accountable event count is the
     window length, so shard counts sum to the serial run's
-    [dynamic_instructions]. Omitting [window] makes the shard own its
-    whole run — the per-input-chunk mode, where each chunk program is the
-    slice. *)
+    [dynamic_instructions]; the window [(0, max_int)] owns the whole
+    run. *)
 val run_shard :
   ?config:Vstate.config ->
   ?selection:Atom.selection ->
-  ?window:int * int ->
+  window:int * int ->
   ?fuel:int ->
   Asm.program ->
   shard

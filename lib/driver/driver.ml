@@ -26,13 +26,6 @@ type 'a funit = {
   u_members : (int * 'a job) list; (* ascending submission index *)
 }
 
-let solo js =
-  List.mapi
-    (fun i (Job { workload; input; fuel; _ } as j) ->
-      { u_workload = workload; u_input = input; u_fuel = fuel;
-        u_members = [ (i, j) ] })
-    js
-
 (* Group jobs sharing a (workload, input, fuel) key, preserving the
    submission order of first occurrences (and of members within a unit),
    so a fused schedule is a deterministic function of the job list. *)
@@ -100,24 +93,18 @@ let run_unit_with_fuel ~fuel:override u =
 
 let run_unit u = run_unit_with_fuel ~fuel:None u
 
-let fuse_units = fuse
-
-let units ~fuse js = if fuse then fuse_units js else solo js
-
 let scatter n per_unit =
   let slots = Array.make n None in
   List.iter (List.iter (fun (i, v) -> slots.(i) <- Some v)) per_unit;
   Array.to_list slots
   |> List.map (function Some v -> v | None -> assert false)
 
-let run_jobs ?jobs ?(fuse = true) js =
+let run_jobs ?jobs js =
   match js with
   | [] -> []
-  | _ ->
-    Pool.map ?jobs run_unit (units ~fuse js)
-    |> scatter (List.length js)
+  | _ -> Pool.map ?jobs run_unit (fuse js) |> scatter (List.length js)
 
-let plan ?(fuse = true) js = List.map unit_name (units ~fuse js)
+let plan js = List.map unit_name (fuse js)
 
 let default_jobs = Pool.default_jobs
 

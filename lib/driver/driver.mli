@@ -49,9 +49,6 @@ type 'a funit
     order within a unit — the fused schedule is deterministic. *)
 val fuse : 'a job list -> 'a funit list
 
-(** One unit per job — the schedule [run_jobs ~fuse:false] uses. *)
-val solo : 'a job list -> 'a funit list
-
 (** The member jobs with their submission indices (ascending). *)
 val unit_members : 'a funit -> (int * 'a job) list
 
@@ -72,14 +69,14 @@ val run_unit_with_fuel : fuel:int option -> 'a funit -> (int * 'a) list
 (** Run every job — across [jobs] domains when [jobs > 1], on the calling
     domain otherwise — and return the finished results in submission
     order. [jobs] defaults to {!Pool.default_jobs}; [0] means the same.
-    [fuse] (default [true]) coalesces jobs sharing a
-    [(workload, input, fuel)] key into one machine execution; the result
-    list is the same either way. *)
-val run_jobs : ?jobs:int -> ?fuse:bool -> 'a job list -> 'a list
+    Jobs sharing a [(workload, input, fuel)] key coalesce into one
+    machine execution ({!fuse}); each result equals the job's run alone
+    ([run_jobs [ j ]], a solo unit). *)
+val run_jobs : ?jobs:int -> 'a job list -> 'a list
 
 (** The unit names [run_jobs] would execute, in schedule order — how the
     CLI shows what fusion did. *)
-val plan : ?fuse:bool -> 'a job list -> string list
+val plan : 'a job list -> string list
 
 (** {!Pool.default_jobs}, re-exported so driver consumers need not depend
     on the pool directly. *)

@@ -9,27 +9,23 @@
     counts, and re-runs.
 
     Error model vs. the serial run: a single shard is byte-identical to
-    serial profiling. For K > 1, {e sliced} plans partition the dynamic
-    event stream by icount windows, so per-point totals and
-    [dynamic_instructions] equal the serial run's exactly; only the K-1
-    window seams lose one LVP/stride observation each, and per-shard TNV
-    tables may admit values the serial table would have dropped (or vice
-    versa), bounding the [inv_top]/[inv_all] drift by the per-shard drop
-    rate. {e Chunked} plans additionally reset program state at chunk
-    boundaries, an approximation the owning workload documents. *)
+    serial profiling. For K > 1 the shards partition the dynamic event
+    stream by icount windows, so per-point totals, [profiled_events] and
+    [dynamic_instructions] equal the serial run's exactly on every
+    workload; only the K-1 window seams lose one LVP/stride observation
+    each, and per-shard TNV tables may admit values the serial table
+    would have dropped (or vice versa), bounding the [inv_top]/[inv_all]
+    drift by the per-shard drop rate. *)
 
-(** How one execution is split: per-input-chunk programs (data-driven
-    workloads exposing [Workload.wshard]), or icount-window slices of the
-    single full program (everything else). *)
-type plan =
-  | Chunked of Asm.program list
-  | Sliced of { prog : Asm.program; windows : (int * int) list }
+(** How one execution is split: every shard runs the full program and
+    profiles the events of its window [(lo, hi]] of dynamic instruction
+    indices. The windows partition the run, in shard order. *)
+type plan
 
-(** [plan workload input ~shards] — chunked when the workload supports it
-    and [shards > 1], sliced otherwise. Slicing runs one uninstrumented
-    execution (bounded by [fuel]) to learn the stream length, then cuts
-    it into [shards] equal windows. [shards <= 1] is one whole-run slice
-    with no pre-run. *)
+(** [plan workload input ~shards] runs one uninstrumented execution
+    (bounded by [fuel]) to learn the stream length, then cuts it into
+    [shards] equal windows. [shards <= 1] is one whole-run window with no
+    pre-run. *)
 val plan : ?fuel:int -> Workload.t -> Workload.input -> shards:int -> plan
 
 (** Run every shard of a plan across [jobs] domains and merge in shard

@@ -163,12 +163,12 @@ let map ?policy ?jobs ~name f items =
   supervise ?policy ?jobs
     (List.map (fun x -> (name x, None, fun ~fuel:_ -> f x)) items)
 
-let run_jobs ?policy ?jobs ?(fuse = true) djobs =
+let run_jobs ?policy ?jobs djobs =
   (* supervision works on fused units: one unit = one machine execution =
      one retry/classification scope, however many jobs it serves. Unit
      outcomes are then expanded back to per-job outcomes in submission
      order — a unit's failure (or attempt count) is every member's. *)
-  let units = if fuse then Driver.fuse djobs else Driver.solo djobs in
+  let units = Driver.fuse djobs in
   let unit_report =
     supervise ?policy ?jobs
       (List.map

@@ -90,15 +90,14 @@ val map :
   'b report
 
 (** Supervised {!Driver.run_jobs}: jobs coalesce into fused units (one
-    machine execution per [(workload, input, fuel)] key; [~fuse:false]
-    disables), and each {e unit} runs under the policy — one
-    classification and one retry scope per unit per attempt, a retry
-    re-running the whole unit. Retries widen the fuel budget (the unit's
+    machine execution per [(workload, input, fuel)] key), and each
+    {e unit} runs under the policy — one classification and one retry
+    scope per unit per attempt, a retry re-running the whole unit.
+    Retries widen the fuel budget (the unit's
     own fuel, else [policy.fuel_timeout], doubles on every attempt). The
     report still carries one outcome per {e job}, in submission order: a
     fused unit's error and attempt count are copied to each member. *)
-val run_jobs :
-  ?policy:policy -> ?jobs:int -> ?fuse:bool -> 'a Driver.job list -> 'a report
+val run_jobs : ?policy:policy -> ?jobs:int -> 'a Driver.job list -> 'a report
 
 (** Test-only window into the backoff arithmetic, so it can be asserted
     directly instead of through whole grid runs. *)

@@ -65,8 +65,9 @@ let find id =
   | Some s -> s
   | None -> raise Not_found
 
-(* One rendering for both the printed and the checkpointed paths, so a
-   resumed run's bytes are identical to a straight-through run's. *)
+(* The store holds exactly this rendering, so a served experiment prints
+   the bytes a computed one does and a resumed run's output is identical
+   to a straight-through run's. *)
 let render spec tables =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -78,24 +79,11 @@ let render spec tables =
     tables;
   Buffer.contents buf
 
-type failure = {
-  f_spec : spec;
-  f_attempts : int;
-  f_error : Supervisor.job_error;
-}
-
-type report = {
-  results : (spec * Table.t list) list;
-  failures : failure list;
-}
-
 type run_config = {
   rc_jobs : int option;
   rc_fuel : int option;
   rc_retries : int;
   rc_fail_fast : bool;
-  rc_trace : string option;
-  rc_metrics : string option;
   rc_shards : int;
   rc_store : Store.t option;
 }
@@ -105,8 +93,6 @@ let default_run_config =
     rc_fuel = Supervisor.default_policy.Supervisor.fuel_timeout;
     rc_retries = Supervisor.default_policy.Supervisor.retries;
     rc_fail_fast = false;
-    rc_trace = None;
-    rc_metrics = None;
     rc_shards = 1;
     rc_store = None }
 
@@ -114,9 +100,6 @@ let policy_of_config c =
   { Supervisor.retries = c.rc_retries;
     fuel_timeout = c.rc_fuel;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
-
-let run_spec_traced spec =
-  Obs.Trace.with_span ~cat:"experiments" ("experiment:" ^ spec.id) spec.run
 
 (* The store key of a rendered experiment: the unit of cross-invocation
    reuse is the whole rendered payload, fingerprinted by everything that
@@ -127,84 +110,60 @@ let spec_key (c : run_config) (spec : spec) =
       (make ?fuel:c.rc_fuel ~shards:c.rc_shards ~profiler:"experiment"
          ~workload:spec.id ~input:"suite" ()))
 
-let run ?(config = default_run_config) specs =
-  Obs.with_sinks ?trace:config.rc_trace ?metrics:config.rc_metrics
-  @@ fun () ->
-  Harness.set_shards config.rc_shards;
-  Harness.set_store config.rc_store;
+(* One path with or without a store: a run without one is a run in which
+   every lookup misses. The store is consulted before scheduling, so a
+   hit is served without executing anything (reported with
+   [o_attempts = 0]); a miss runs and commits its payload as it lands, so
+   a killed run still keeps its finished units. *)
+let run_strings ?(config = default_run_config) specs =
+  Harness.set_shards ~jobs:config.rc_jobs config.rc_shards;
+  let lookup spec =
+    Option.bind config.rc_store (fun s -> Store.get s (spec_key config spec))
+  in
+  let compute spec =
+    let payload =
+      render spec
+        (Obs.Trace.with_span ~cat:"experiments" ("experiment:" ^ spec.id)
+           spec.run)
+    in
+    Option.iter
+      (fun s -> Store.put s ~key:(spec_key config spec) ~payload)
+      config.rc_store;
+    payload
+  in
+  let served = List.map (fun spec -> (spec, lookup spec)) specs in
   let rep =
     Supervisor.map ~policy:(policy_of_config config) ?jobs:config.rc_jobs
-      ~name:(fun s -> s.id)
-      (fun spec -> (spec, run_spec_traced spec))
-      specs
+      ~name:(fun spec -> spec.id) compute
+      (List.filter_map
+         (fun (spec, hit) -> if Option.is_none hit then Some spec else None)
+         served)
   in
-  let failures =
-    List.map2
-      (fun spec (o : _ Supervisor.outcome) ->
-        match o.Supervisor.o_result with
-        | Ok _ -> None
-        | Error e ->
-          Some { f_spec = spec; f_attempts = o.Supervisor.o_attempts; f_error = e })
-      specs rep.Supervisor.outcomes
-    |> List.filter_map Fun.id
+  (* stitch hits back in, in submission order *)
+  let misses = ref rep.Supervisor.outcomes in
+  let outcomes =
+    List.map
+      (fun (spec, hit) ->
+        match hit with
+        | Some payload ->
+          { Supervisor.o_name = spec.id; o_attempts = 0; o_result = Ok payload }
+        | None -> (
+          match !misses with
+          | o :: rest ->
+            misses := rest;
+            o
+          | [] -> assert false))
+      served
   in
-  { results = Supervisor.oks rep; failures }
+  let hits = List.length specs - List.length rep.Supervisor.outcomes in
+  { rep with Supervisor.outcomes; completed = rep.Supervisor.completed + hits }
 
-let run_strings ?(config = default_run_config) specs =
-  Obs.with_sinks ?trace:config.rc_trace ?metrics:config.rc_metrics
-  @@ fun () ->
-  Harness.set_shards config.rc_shards;
-  Harness.set_store config.rc_store;
-  let supervise f specs =
-    Supervisor.map ~policy:(policy_of_config config) ?jobs:config.rc_jobs
-      ~name:(fun spec -> spec.id) f specs
-  in
-  let render_run spec = render spec (run_spec_traced spec) in
-  match config.rc_store with
-  | None -> supervise render_run specs
-  | Some store ->
-    (* The driver consults the store before scheduling a unit: a hit is
-       served without executing anything (reported with [o_attempts = 0]),
-       a miss runs and commits its payload as it lands, so a killed run
-       still keeps its finished units. *)
-    let served =
-      List.map (fun spec -> (spec, Store.get store (spec_key config spec))) specs
-    in
-    let rep =
-      supervise
-        (fun spec ->
-          let payload = render_run spec in
-          Store.put store ~key:(spec_key config spec) ~payload;
-          payload)
-        (List.filter_map
-           (fun (spec, cached) ->
-             match cached with Some _ -> None | None -> Some spec)
-           served)
-    in
-    (* stitch hits back in, in submission order *)
-    let misses = ref rep.Supervisor.outcomes in
-    let outcomes =
-      List.map
-        (fun (spec, cached) ->
-          match cached with
-          | Some payload ->
-            { Supervisor.o_name = spec.id; o_attempts = 0; o_result = Ok payload }
-          | None -> (
-            match !misses with
-            | o :: rest ->
-              misses := rest;
-              o
-            | [] -> assert false))
-        served
-    in
-    let hits = List.length specs - List.length rep.Supervisor.outcomes in
-    { Supervisor.outcomes;
-      completed = rep.Supervisor.completed + hits;
-      failed = rep.Supervisor.failed;
-      cancelled = rep.Supervisor.cancelled }
-
-let string_of_failure f =
-  Printf.sprintf "experiment %s FAILED after %d attempt%s: %s" f.f_spec.id
-    f.f_attempts
-    (if f.f_attempts = 1 then "" else "s")
-    (Supervisor.string_of_error f.f_error)
+let failure_line (o : _ Supervisor.outcome) =
+  match o.Supervisor.o_result with
+  | Ok _ -> None
+  | Error e ->
+    Some
+      (Printf.sprintf "experiment %s FAILED after %d attempt%s: %s"
+         o.Supervisor.o_name o.Supervisor.o_attempts
+         (if o.Supervisor.o_attempts = 1 then "" else "s")
+         (Supervisor.string_of_error e))

@@ -20,60 +20,47 @@ val find : string -> spec
     from the store, so stored payloads splice back byte-identically. *)
 val render : spec -> Table.t list -> string
 
-(** An experiment that failed even after the supervisor's retries. *)
-type failure = {
-  f_spec : spec;
-  f_attempts : int;
-  f_error : Supervisor.job_error;
-}
-
-(** What a supervised run returns: everything that completed (registry
-    order) {e plus} a failure report — one bad experiment no longer
-    aborts the suite. *)
-type report = {
-  results : (spec * Table.t list) list;
-  failures : failure list;
-}
-
-val string_of_failure : failure -> string
-
 (** Everything a supervised suite run is parameterized by, in one record:
-    the CLI, the tests and CI all build the same value instead of
-    threading separate [?policy]/[?jobs]/[?store] options. *)
+    the CLI, the tests and the benchmark all build the same value instead
+    of threading separate [?policy]/[?jobs]/[?store] options. *)
 type run_config = {
-  rc_jobs : int option;  (** worker pool size; [None] = recommended count *)
+  rc_jobs : int option;
+      (** worker pool size, for the suite and for the shards of each
+          sharded profile; [None] = recommended count *)
   rc_fuel : int option;  (** per-attempt fuel budget; [None] = unlimited *)
   rc_retries : int;  (** extra attempts per experiment after the first *)
   rc_fail_fast : bool;  (** abort the suite on the first hard failure *)
-  rc_trace : string option;  (** write a Chrome trace of the run here *)
-  rc_metrics : string option;  (** write a registry snapshot here *)
   rc_shards : int;
       (** shard count for the harness's full value profiles (see
           {!Harness.set_shards}); 1 = serial collection *)
   rc_store : Store.t option;
-      (** profile store for cross-invocation reuse and crash-safe
-          resumption: {!run_strings} serves whole cached experiments
-          without scheduling them, and the harness serves cached value
-          profiles without executing machines (see {!Harness.set_store}) *)
+      (** where rendered experiments persist across invocations: a
+          repeated suite is served from it and a killed one resumes from
+          it. It holds nothing else — the value profiles an experiment
+          reads are recomputed in each process. *)
 }
 
-(** Serial, one retry, no fuel limit, no store, no sinks. *)
+(** Serial, one retry, no fuel limit, no store. *)
 val default_run_config : run_config
 
-(** Run a subset of the suite under supervision (see {!Supervisor}): each
-    experiment runs in an ["experiment:<id>"] trace span, is retried per
-    the config and recorded as a {!failure} instead of raising. If the
-    config names trace/metrics sinks they are written on the way out
-    (tracing is enabled for exactly this run). *)
-val run : ?config:run_config -> spec list -> report
+(** Run a subset of the suite under supervision (see {!Supervisor}),
+    yielding each experiment's {!render}ed bytes, one outcome per spec in
+    submission order. Each computed experiment runs in an
+    ["experiment:<id>"] trace span and is retried per the config; one
+    that still fails is recorded in its outcome instead of raising, so
+    one bad experiment never aborts the suite.
 
-(** Supervised run yielding each experiment's {!render}ed bytes.
-
-    With [rc_store] set, each experiment is fingerprinted
-    ({!Store.Fingerprint}: its id plus the fuel and shard knobs) and
-    looked up before scheduling: a hit is served with [o_attempts = 0]
-    and zero machine executions, a miss runs and commits its rendered
-    bytes to the store as it finishes — so a repeated grid is
-    near-instant and byte-identical, and a killed grid resumes from
-    whatever it committed. *)
+    Each experiment is fingerprinted ({!Store.Fingerprint}: its id plus
+    the fuel and shard knobs) and looked up in [rc_store] before
+    scheduling: a hit is served with [o_attempts = 0] and zero machine
+    executions, a miss runs and commits its rendered bytes as it
+    finishes — so a repeated grid is near-instant and byte-identical,
+    and a killed grid resumes from whatever it committed. Without a
+    store every lookup misses and nothing is committed. Telemetry sinks
+    are the caller's ({!Obs.with_sinks}). *)
 val run_strings : ?config:run_config -> spec list -> string Supervisor.report
+
+(** The report line for an experiment that failed (or was cancelled):
+    ["experiment <id> FAILED after <n> attempt(s): <error>"]; [None] for
+    one that completed. *)
+val failure_line : _ Supervisor.outcome -> string option

@@ -42,64 +42,26 @@ let entry (w : Workload.t) input =
       Machine.detach machine attachment;
       { e_machine = machine; e_profile; e_procprof })
 
-(* Cross-invocation profile reuse: with a store attached, a memo miss
-   consults the store before executing the machine, and a computed
-   profile is committed for the next invocation. Memo first, store
-   second: in-process repeats never pay the decode. *)
-
-let store_ref : Store.t option Atomic.t = Atomic.make None
-
-let set_store s = Atomic.set store_ref s
-
-let store () = Atomic.get store_ref
-
-let profile_key (w : Workload.t) input ~shards =
-  Store.Fingerprint.(
-    key
-      (make ~shards
-         ~config:
-           (profile_config Vstate.default_config ~selection:"all")
-         ~profiler:"full" ~workload:w.wname
-         ~input:(Workload.string_of_input input) ()))
-
-let stored_profile (w : Workload.t) input ~shards compute =
-  match store () with
-  | None -> compute ()
-  | Some s ->
-    let key = profile_key w input ~shards in
-    (match Store.get_profile s ~program:(w.wbuild input) ~key with
-     | Some p -> p
-     | None ->
-       let p = compute () in
-       Store.put_profile s ~key p;
-       p)
-
-(* Full value profiles are memoized by shard count, so flipping --shards
-   mid-process never aliases a serial result and vice versa, and a
-   store-served profile is memoized even though no machine ran for it.
+(* Sharded full value profiles, memoized by shard count, so flipping
+   --shards mid-process never aliases a serial result and vice versa.
    Sharding only accelerates the value profile, the one consumer whose
    result merges: the serial profile, the plain machine state and the
    procedure profile all come from the fused single execution. *)
 let profiles : (string * Workload.input * int, Profile.t) Memo_cache.t =
   Memo_cache.create ()
 
-let sharded_profile ?jobs (w : Workload.t) input ~shards =
-  let shards = max 1 shards in
-  Memo_cache.find_or_compute profiles (w.wname, input, shards) (fun () ->
-      stored_profile w input ~shards (fun () ->
-          if shards = 1 then (entry w input).e_profile
-          else Shard.profile ?jobs ~shards w input))
+(* The shard count and the domains the shards run on, set together so a
+   reader never pairs one run's count with another's domains. *)
+let sharding : (int * int option) Atomic.t = Atomic.make (1, None)
 
-let shard_count = Atomic.make 1
+let set_shards ~jobs k = Atomic.set sharding (max 1 k, jobs)
 
-let set_shards k = Atomic.set shard_count (max 1 k)
-
-let shards () = Atomic.get shard_count
-
-let full_profile w input =
-  match (shards (), store ()) with
-  | 1, None -> (entry w input).e_profile
-  | k, _ -> sharded_profile w input ~shards:k
+let full_profile (w : Workload.t) input =
+  match Atomic.get sharding with
+  | 1, _ -> (entry w input).e_profile
+  | shards, jobs ->
+    Memo_cache.find_or_compute profiles (w.wname, input, shards) (fun () ->
+        Shard.profile ?jobs ~shards w input)
 
 let plain_run w input = (entry w input).e_machine
 

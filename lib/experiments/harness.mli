@@ -2,34 +2,27 @@
     order and one memoized {e fused} execution per workload/input — the
     plain machine state, the full value profile, and the procedure profile
     all come from a single machine run (instrumentation is additive; hooks
-    never perturb architectural state). The memo table is a domain-safe
-    {!Memo_cache}, so experiments scheduled in parallel by the driver
-    still execute each workload/input exactly once. *)
+    never perturb architectural state). The memo tables are domain-safe
+    {!Memo_cache}s, so experiments scheduled in parallel by the driver
+    still execute each workload/input exactly once. Nothing here outlives
+    the process: a suite run persists only its rendered experiments (see
+    {!Experiments.run_strings}). *)
 
 (** All workloads, table order. *)
 val workloads : Workload.t list
 
-(** Memoized full value profile (selection [`All]) of a workload/input:
-    {!sharded_profile} at the {!set_shards} count. *)
+(** Memoized full value profile (selection [`All]) of a workload/input.
+    At one shard (the default) it is the fused single execution's
+    profile; at [K > 1] shards (see {!set_shards}) it is
+    {!Shard.profile}'s merge of [K] slices, run on the set domain count
+    and memoized by [(workload, input, K)]. *)
 val full_profile : Workload.t -> Workload.input -> Profile.t
 
-(** Memoized full value profile, keyed by [(workload, input, shards)] —
-    independent of the {!set_shards} toggle. One shard is the fused
-    single execution; more are collected via {!Shard.profile}. *)
-val sharded_profile :
-  ?jobs:int -> Workload.t -> Workload.input -> shards:int -> Profile.t
-
-(** Shard count {!full_profile} uses (default 1 = serial). Clamped to
-    [>= 1]. The toggle changes which memo entry serves the profile, never
-    the contents of any. *)
-val set_shards : int -> unit
-
-(** Attach (or with [None] detach) a profile store. With a store
-    attached, a {!full_profile}/{!sharded_profile} memo miss consults the
-    store — keyed by the {!Store.Fingerprint} of (workload, input, fuel,
-    profiler, shards, config) — before executing the machine, and every
-    computed profile is committed for the next invocation. *)
-val set_store : Store.t option -> unit
+(** [set_shards ~jobs k] — the shard count {!full_profile} uses (clamped
+    to [>= 1]; 1 = serial) and the domains its shards run on ([None] =
+    {!Pool.default_jobs}). The setting changes which memo entry serves
+    the profile, never the contents of any. *)
+val set_shards : jobs:int option -> int -> unit
 
 (** Memoized machine state after a full run: the same architectural state
     (registers, memory, counters) as an uninstrumented run. The profilers

@@ -139,5 +139,4 @@ let workload =
     wmimics = "104.alvinn (SPEC95 FP)";
     wdescr = "fixed-point neural-network forward passes";
     wbuild = build;
-    wshard = None;
     warities = [ ("dot", 3); ("forward", 1); ("run_net", 2) ] }

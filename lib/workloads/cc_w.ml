@@ -93,7 +93,6 @@ let workload =
     wmimics = "126.gcc (SPEC95)";
     wdescr = "table-driven token dispatch through indirect calls";
     wbuild = build;
-    wshard = None;
     warities =
       [ ("parse", 3); ("h_ident", 1); ("h_num", 1); ("h_op", 1); ("h_kw", 1);
         ("h_str", 1); ("h_punct", 1) ] }

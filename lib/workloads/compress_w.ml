@@ -14,12 +14,8 @@ let symbols_of input =
   let skew = Workload.pick input ~test:2.0 ~train:1.6 in
   Array.init n (fun _ -> Int64.of_int (Rng.skewed rng ~n:alphabet ~s:skew))
 
-(* The program over an explicit symbol stream. All code is identical for
-   any stream (same instruction sequence, hence same pcs); the stream
-   length and data-segment addresses appear only as immediates and data,
-   so per-input-chunk programs line up point-for-point with the full one
-   — the property the sharded driver's per-pc merge relies on. *)
-let program_of symbols =
+let build input =
+  let symbols = symbols_of input in
   let n = Array.length symbols in
   let b = Asm.create () in
   let input_base = Asm.data b symbols in
@@ -139,28 +135,9 @@ let program_of symbols =
       Asm.halt b);
   Asm.assemble b ~entry:"main"
 
-let build input = program_of (symbols_of input)
-
-(* Data-driven sharding: split the symbol stream into <= k contiguous
-   chunks whose concatenation is the full stream. Each chunk restarts the
-   dictionary and prefix, so for k > 1 the merged profile approximates
-   the serial one (the documented chunk-boundary error); k = 1 is the
-   full program, byte-identical to [build]. *)
-let chunks input k =
-  let symbols = symbols_of input in
-  let n = Array.length symbols in
-  let k = max 1 (min k n) in
-  let size = (n + k - 1) / k in
-  List.init k (fun i ->
-      let lo = i * size in
-      Array.sub symbols lo (max 0 (min size (n - lo))))
-  |> List.filter (fun a -> Array.length a > 0)
-  |> List.map program_of
-
 let workload =
   { Workload.wname = "compress";
     wmimics = "129.compress (SPEC95)";
     wdescr = "LZW-style dictionary compression over a skewed symbol stream";
     wbuild = build;
-    wshard = Some chunks;
     warities = [ ("hash_probe", 1); ("emit", 1); ("compress", 2) ] }

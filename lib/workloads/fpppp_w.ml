@@ -119,5 +119,4 @@ let workload =
     wmimics = "145.fpppp (SPEC95 FP)";
     wdescr = "dense matrix-vector sweeps over a fixed integral table";
     wbuild = build;
-    wshard = None;
     warities = [ ("matvec", 3); ("scale", 2); ("sweep", 1) ] }

@@ -97,5 +97,4 @@ let workload =
     wmimics = "099.go (SPEC95)";
     wdescr = "board evaluation over a mostly-empty 9x9 go board";
     wbuild = build;
-    wshard = None;
     warities = [ ("eval", 1); ("play", 3) ] }

@@ -137,5 +137,4 @@ let workload =
     wmimics = "132.ijpeg (SPEC95)";
     wdescr = "8x8 integer transform and quantization with constant tables";
     wbuild = build;
-    wshard = None;
     warities = [ ("dct8", 2); ("quant8", 1); ("encode", 3) ] }

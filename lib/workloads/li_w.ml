@@ -159,5 +159,4 @@ let workload =
     wmimics = "130.li (SPEC95)";
     wdescr = "stack-machine bytecode interpreter running a guest loop";
     wbuild = build;
-    wshard = None;
     warities = [ ("arith", 3); ("vm_run", 3) ] }

@@ -152,5 +152,4 @@ let workload =
     wmimics = "124.m88ksim (SPEC95)";
     wdescr = "CPU simulator running an ADD-heavy guest loop";
     wbuild = build;
-    wshard = None;
     warities = [ ("decode", 1); ("execute", 4); ("simulate", 1) ] }

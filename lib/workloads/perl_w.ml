@@ -116,5 +116,4 @@ let workload =
     wmimics = "134.perl (SPEC95)";
     wdescr = "string hashing and associative-array counting";
     wbuild = build;
-    wshard = None;
     warities = [ ("hash_word", 2); ("bump", 1); ("scan", 3) ] }

@@ -126,5 +126,4 @@ let workload =
     wmimics = "102.swim (SPEC95 FP)";
     wdescr = "five-point stencil relaxation with constant coefficients";
     wbuild = build;
-    wshard = None;
     warities = [ ("stencil", 2); ("checksum", 1); ("relax", 1) ] }

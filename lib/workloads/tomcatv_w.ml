@@ -120,5 +120,4 @@ let workload =
     wmimics = "101.tomcatv (SPEC95 FP)";
     wdescr = "mesh relaxation: scaled-accumulate helper with per-site coefficients";
     wbuild = build;
-    wshard = None;
     warities = [ ("saxpy", 4); ("residual", 2); ("relax_mesh", 1) ] }

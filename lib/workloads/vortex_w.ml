@@ -154,7 +154,6 @@ let workload =
     wmimics = "147.vortex (SPEC95)";
     wdescr = "object database: typed linked lists with method dispatch";
     wbuild = build;
-    wshard = None;
     warities =
       [ ("find", 2); ("m_alpha", 1); ("m_beta", 1); ("m_gamma", 1);
         ("query", 3) ] }

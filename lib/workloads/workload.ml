@@ -12,7 +12,6 @@ type t = {
   wmimics : string;
   wdescr : string;
   wbuild : input -> Asm.program;
-  wshard : (input -> int -> Asm.program list) option;
   warities : (string * int) list;
 }
 

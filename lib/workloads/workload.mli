@@ -19,14 +19,6 @@ type t = {
   wmimics : string;  (** the SPEC95 program it is modeled on *)
   wdescr : string;
   wbuild : input -> Asm.program;
-  wshard : (input -> int -> Asm.program list) option;
-      (** [wshard input k], when the workload is data-driven enough to
-          support it, splits the input into at most [k] chunk programs
-          whose concatenated data streams equal [wbuild input]'s, all
-          sharing [wbuild]'s exact code layout (same pcs; only data
-          differs) so per-pc profile merging is meaningful. [None] means
-          the driver falls back to fuel-sliced sharding of the single
-          [wbuild] program. *)
   warities : (string * int) list;
       (** procedure name → argument count, for procedure profiling *)
 }

@@ -46,9 +46,7 @@ let run_grid ?dir ?(workers = 1) ?(abort_on_first_failure = false) jobs =
       rc_fail_fast = abort_on_first_failure;
       rc_store = Option.map Store.open_dir dir }
   in
-  Fun.protect
-    ~finally:(fun () -> Harness.set_store None)
-    (fun () -> Experiments.run_strings ~config (List.map job_spec jobs))
+  Experiments.run_strings ~config (List.map job_spec jobs)
 
 let concat rep = String.concat "" (Supervisor.oks rep)
 
@@ -115,7 +113,6 @@ let grid_workload builds =
             Asm.br b Isa.Gt Isa.t0 "loop";
             Asm.halt b);
         Asm.assemble b ~entry:"main");
-    wshard = None;
     warities = [] }
 
 let test_fused_grid_kill_and_resume_byte_identical () =

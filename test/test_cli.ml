@@ -669,6 +669,38 @@ let test_failure_line_same_with_store () =
       Alcotest.(check (list string)) "the same line with --store" plain
         (failure_lines (" --store " ^ Filename.quote dir)))
 
+(* --csv adds files and their "wrote" lines, and nothing else: stdout is
+   the plain run's followed by one line per table, and each file holds
+   that table's CSV rendering. *)
+let test_experiment_csv () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf dir;
+      Harness.clear_cache ())
+    (fun () ->
+      let code, plain = run_stdout "experiment e01" in
+      Alcotest.(check int) "plain run" 0 code;
+      let code, out =
+        run_stdout (Printf.sprintf "experiment e01 --csv %s" (Filename.quote dir))
+      in
+      Alcotest.(check int) "--csv run" 0 code;
+      let tables = (Experiments.find "e01").Experiments.run () in
+      let paths =
+        List.mapi
+          (fun i _ -> Filename.concat dir (Printf.sprintf "e01_%d.csv" i))
+          tables
+      in
+      Alcotest.(check string) "stdout: the plain run, then its wrote lines"
+        (plain
+        ^ String.concat "" (List.map (Printf.sprintf "wrote %s\n") paths))
+        out;
+      List.iter2
+        (fun path t ->
+          Alcotest.(check string) (path ^ " is the table's CSV")
+            (Table.to_csv t) (read_file path))
+        paths tables)
+
 let suite =
   [ Alcotest.test_case "binary present" `Quick test_binary_present;
     Alcotest.test_case "list" `Slow test_list;
@@ -724,4 +756,5 @@ let suite =
     Alcotest.test_case "bad --clear-interval" `Quick test_bad_clear_interval;
     Alcotest.test_case "failure line same with --store" `Slow
       test_failure_line_same_with_store;
-    Alcotest.test_case "run takes no -j" `Quick test_jobs_only_where_it_acts ]
+    Alcotest.test_case "run takes no -j" `Quick test_jobs_only_where_it_acts;
+    Alcotest.test_case "experiment --csv" `Slow test_experiment_csv ]

@@ -220,7 +220,6 @@ let counting_workload ?(name = "tinyw") builds =
             Asm.br b Isa.Gt Isa.t0 "loop";
             Asm.halt b);
         Asm.assemble b ~entry:"main");
-    wshard = None;
     warities = [] }
 
 let test_fuse_coalesces_shared_executions () =
@@ -240,8 +239,8 @@ let test_fuse_coalesces_shared_executions () =
   let fused = Driver.run_jobs (jobs ()) in
   Alcotest.(check int) "one build serves the fused unit" 1
     (Atomic.get builds);
-  let solo = Driver.run_jobs ~fuse:false (jobs ()) in
-  Alcotest.(check int) "one build per job when not fused" 4
+  let solo = List.concat_map (fun j -> Driver.run_jobs [ j ]) (jobs ()) in
+  Alcotest.(check int) "one build per job run alone" 4
     (Atomic.get builds);
   Alcotest.(check (list int)) "fused results equal solo" solo fused
 
@@ -254,9 +253,9 @@ let test_plan_names_fused_units () =
   Alcotest.(check (list string)) "fused plan, first-occurrence order"
     [ "fused[profile+memory]:wa:test"; "profile:wb:test" ]
     (Driver.plan js);
-  Alcotest.(check (list string)) "solo plan is one unit per job"
+  Alcotest.(check (list string)) "a job alone is a solo unit"
     [ "profile:wa:test"; "profile:wb:test"; "memory:wa:test" ]
-    (Driver.plan ~fuse:false js);
+    (List.concat_map (fun j -> Driver.plan [ j ]) js);
   let fueled =
     Driver.job (module Profile.Profiler) ~fuel:100_000 ~finish:ignore wa
       Workload.Test
@@ -269,16 +268,13 @@ let test_plan_names_fused_units () =
    results come back in registry order. *)
 let rendered_suite jobs =
   let rep =
-    Experiments.run
+    Experiments.run_strings
       ~config:{ Experiments.default_run_config with rc_jobs = Some jobs }
       Experiments.all
   in
   Alcotest.(check int) "no experiment failed" 0
-    (List.length rep.Experiments.failures);
-  String.concat ""
-    (List.map
-       (fun (spec, tables) -> Experiments.render spec tables)
-       rep.Experiments.results)
+    (List.length (Supervisor.failures rep));
+  String.concat "" (Supervisor.oks rep)
 
 let test_suite_parallel_byte_identical () =
   Harness.clear_cache ();

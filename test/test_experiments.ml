@@ -156,10 +156,7 @@ let test_store_serves_repeat_suite () =
     { Experiments.default_run_config with Experiments.rc_store = Some store }
   in
   let specs = [ Experiments.find "e01" ] in
-  Fun.protect
-    ~finally:(fun () ->
-      Harness.set_store None;
-      Harness.clear_cache ())
+  Fun.protect ~finally:Harness.clear_cache
     (fun () ->
       Harness.clear_cache ();
       let cold = Experiments.run_strings ~config specs in
@@ -187,26 +184,58 @@ let test_store_serves_repeat_suite () =
       Alcotest.(check int) "warm report counts it completed" 1
         warm.Supervisor.completed)
 
-let test_harness_store_serves_profiles () =
-  let store = Store.create_mem () in
+(* A spec that renders one line from the harness's full value profile of
+   a small synthetic workload, so it runs in microseconds. *)
+let profile_spec id =
+  let w = Test_shard.shard_workload ~name:("exp-" ^ id) () in
+  { Experiments.id; title = "profile events"; paper_ref = "test";
+    run =
+      (fun () ->
+        let p = Harness.full_profile w Workload.Test in
+        let t = Table.create ~title:id [ "events" ] in
+        Table.add_row t [ string_of_int p.Profile.profiled_events ];
+        [ t ]) }
+
+let test_store_holds_only_experiments () =
+  (* the rendered experiment is the one thing a suite run persists: the
+     value profile its spec read is not committed beside it *)
+  Test_checkpoint.with_store (fun dir ->
+      Fun.protect ~finally:Harness.clear_cache (fun () ->
+          Harness.clear_cache ();
+          let config =
+            { Experiments.default_run_config with
+              rc_store = Some (Store.open_dir dir) }
+          in
+          let rep = Experiments.run_strings ~config [ profile_spec "one" ] in
+          Alcotest.(check int) "the experiment completed" 1
+            rep.Supervisor.completed;
+          Alcotest.(check int) "one store entry" 1
+            (Store.stats (Store.open_dir dir)).Store.st_entries))
+
+let test_sharded_profiles_follow_rc_jobs () =
+  (* the shards of a sharded harness profile run on the run's rc_jobs
+     domains: one pool worker for the one-spec suite plus min(jobs,
+     shards) for the profile's shards *)
+  let workers ~jobs ~shards =
+    Harness.clear_cache ();
+    let before = counter_value "pool.workers_spawned" in
+    let config =
+      { Experiments.default_run_config with
+        rc_jobs = Some jobs;
+        rc_shards = shards }
+    in
+    let rep = Experiments.run_strings ~config [ profile_spec "sharded" ] in
+    Alcotest.(check int) "the experiment completed" 1
+      rep.Supervisor.completed;
+    counter_value "pool.workers_spawned" - before
+  in
   Fun.protect
     ~finally:(fun () ->
-      Harness.set_store None;
+      Harness.set_shards ~jobs:None 1;
       Harness.clear_cache ())
     (fun () ->
-      Harness.set_store (Some store);
-      Harness.clear_cache ();
-      let w = Workloads.find "go" in
-      let p1 = Harness.full_profile w Workload.Test in
-      (* memo gone, store still warm: the profile comes back without a
-         single machine execution *)
-      Harness.clear_cache ();
-      let m0 = counter_value "machine.runs" in
-      let p2 = Harness.full_profile w Workload.Test in
-      Alcotest.(check int) "no machine execution" m0
-        (counter_value "machine.runs");
-      Alcotest.(check string) "identical profile" (Profile_io.to_string p1)
-        (Profile_io.to_string p2))
+      Alcotest.(check int) "-j 1 --shards 2" 2 (workers ~jobs:1 ~shards:2);
+      Alcotest.(check int) "-j 3 --shards 3" 4 (workers ~jobs:3 ~shards:3))
 
 let suite =
   [ Alcotest.test_case "registry" `Quick test_registry_complete;
@@ -227,5 +256,7 @@ let suite =
     Alcotest.test_case "harness cache" `Quick test_harness_cache;
     Alcotest.test_case "store serves repeat suite" `Quick
       test_store_serves_repeat_suite;
-    Alcotest.test_case "harness store serves profiles" `Quick
-      test_harness_store_serves_profiles ]
+    Alcotest.test_case "store holds only rendered experiments" `Quick
+      test_store_holds_only_experiments;
+    Alcotest.test_case "sharded profiles run on rc_jobs domains" `Quick
+      test_sharded_profiles_follow_rc_jobs ]

@@ -3,8 +3,8 @@
    observing the concatenated stream, Profile.merge identities, the
    headline shard properties (single shard byte-identical to serial,
    sliced K shards exact on totals with bounded invariance drift,
-   scheduling independence), the chunked plan, the pool's uniform serial
-   telemetry, and a killed-then-resumed sharded grid. *)
+   scheduling independence, exact totals on every workload), the pool's
+   uniform serial telemetry, and a killed-then-resumed sharded grid. *)
 
 let canon l =
   List.sort
@@ -105,7 +105,6 @@ let shard_workload ?(name = "shardw") ?(iters = 48L) () =
             Asm.br b Isa.Gt Isa.t0 "loop";
             Asm.halt b);
         Asm.assemble b ~entry:"main");
-    wshard = None;
     warities = [] }
 
 let test_single_shard_byte_identical () =
@@ -155,23 +154,6 @@ let test_sharded_profile_jobs_independent () =
   Alcotest.(check string) "byte-identical across domain counts"
     (Profile_io.to_string p1) (Profile_io.to_string p4)
 
-let test_chunked_plan () =
-  let w = Workloads.find "compress" in
-  (match Shard.plan w Workload.Test ~shards:2 with
-   | Shard.Chunked progs ->
-     Alcotest.(check int) "two chunk programs" 2 (List.length progs)
-   | Shard.Sliced _ -> Alcotest.fail "compress should shard by input chunks");
-  let serial = Profile.run (w.Workload.wbuild Workload.Test) in
-  let one = Shard.profile ~shards:1 w Workload.Test in
-  Alcotest.(check string) "shards=1 == serial" (Profile_io.to_string serial)
-    (Profile_io.to_string one);
-  let a = Shard.profile ~shards:2 ~jobs:1 w Workload.Test in
-  let b = Shard.profile ~shards:2 ~jobs:2 w Workload.Test in
-  Alcotest.(check string) "chunked merge is scheduling-independent"
-    (Profile_io.to_string a) (Profile_io.to_string b);
-  Alcotest.(check bool) "chunked profile saw the whole input" true
-    (a.Profile.dynamic_instructions > 0 && Array.length a.Profile.points > 0)
-
 let test_pool_serial_path_telemetry () =
   (* jobs <= 1 must account its inline worker exactly like a spawned one:
      one pool.worker span, one workers_spawned tick *)
@@ -201,11 +183,11 @@ let test_sharded_grid_kill_and_resume_byte_identical () =
   let jobs =
     [ ( "profile",
         fun () ->
-          let p = Harness.sharded_profile w Workload.Test ~shards:2 in
+          let p = Shard.profile ~shards:2 w Workload.Test in
           Profile_io.to_string p );
       ( "summary",
         fun () ->
-          let p = Harness.sharded_profile w Workload.Test ~shards:2 in
+          let p = Shard.profile ~shards:2 w Workload.Test in
           Printf.sprintf "summary %d %d" p.Profile.profiled_events
             p.Profile.dynamic_instructions );
       ( "plain",
@@ -236,6 +218,34 @@ let test_sharded_grid_kill_and_resume_byte_identical () =
       | _ -> Alcotest.fail "expected three outcomes");
   Harness.clear_cache ()
 
+let test_every_workload_keeps_serial_totals () =
+  (* K shards == serial totals is a property of the plan, not of the
+     program: each real workload at two shards, and byte-identity at
+     one shard and across domain counts *)
+  List.iter
+    (fun (w : Workload.t) ->
+      let name = w.wname in
+      let serial = Profile.run (w.wbuild Workload.Test) in
+      let one = Shard.profile ~shards:1 w Workload.Test in
+      Alcotest.(check string) (name ^ ": shards=1 == serial")
+        (Profile_io.to_string serial) (Profile_io.to_string one);
+      let merged = Shard.profile ~shards:2 ~jobs:2 w Workload.Test in
+      Alcotest.(check string) (name ^ ": -j 1 == -j 2")
+        (Profile_io.to_string (Shard.profile ~shards:2 ~jobs:1 w Workload.Test))
+        (Profile_io.to_string merged);
+      Alcotest.(check int) (name ^ ": dynamic instructions")
+        serial.Profile.dynamic_instructions merged.Profile.dynamic_instructions;
+      Alcotest.(check int) (name ^ ": profiled events")
+        serial.Profile.profiled_events merged.Profile.profiled_events;
+      Alcotest.(check (list (pair int int))) (name ^ ": per-point totals")
+        (List.map
+           (fun (p : Profile.point) -> (p.p_pc, p.p_metrics.Metrics.total))
+           (Array.to_list serial.Profile.points))
+        (List.map
+           (fun (p : Profile.point) -> (p.p_pc, p.p_metrics.Metrics.total))
+           (Array.to_list merged.Profile.points)))
+    Workloads.all
+
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_merge_associative;
     QCheck_alcotest.to_alcotest qcheck_merge_commutative;
@@ -249,8 +259,9 @@ let suite =
       test_sliced_shards_exact_totals_bounded_drift;
     Alcotest.test_case "sharded profile scheduling-independent" `Quick
       test_sharded_profile_jobs_independent;
-    Alcotest.test_case "chunked plan (compress)" `Quick test_chunked_plan;
     Alcotest.test_case "pool serial path telemetry" `Quick
       test_pool_serial_path_telemetry;
     Alcotest.test_case "sharded grid kill and resume" `Quick
-      test_sharded_grid_kill_and_resume_byte_identical ]
+      test_sharded_grid_kill_and_resume_byte_identical;
+    Alcotest.test_case "every workload: two shards keep serial totals" `Quick
+      test_every_workload_keeps_serial_totals ]

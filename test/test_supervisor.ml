@@ -24,7 +24,6 @@ let loop_workload n =
     wmimics = "";
     wdescr = "synthetic supervisor-test loop";
     wbuild = (fun _ -> loop_program n);
-    wshard = None;
     warities = [] }
 
 let error_label = function
@@ -263,7 +262,6 @@ let counting_workload builds prog_of =
     wmimics = "";
     wdescr = "synthetic fused-supervision workload";
     wbuild = (fun _ -> Atomic.incr builds; prog_of ());
-    wshard = None;
     warities = [] }
 
 let fused_jobs w =
@@ -329,14 +327,24 @@ let test_fused_retry_reruns_whole_unit () =
 let test_fused_results_equal_unfused () =
   let w = counting_workload (Atomic.make 0) (fun () -> loop_program 50L) in
   let fused = Supervisor.run_jobs ~jobs:1 (fused_jobs w) in
-  let solo = Supervisor.run_jobs ~fuse:false ~jobs:1 (fused_jobs w) in
-  Alcotest.(check (list int)) "payloads identical" (Supervisor.oks solo)
+  (* each job alone is a solo unit *)
+  let solo =
+    List.concat_map
+      (fun j -> (Supervisor.run_jobs ~jobs:1 [ j ]).Supervisor.outcomes)
+      (fused_jobs w)
+  in
+  let oks outcomes =
+    List.map
+      (fun (o : _ Supervisor.outcome) -> Result.get_ok o.Supervisor.o_result)
+      outcomes
+  in
+  let names outcomes =
+    List.map (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_name) outcomes
+  in
+  Alcotest.(check (list int)) "payloads identical" (oks solo)
     (Supervisor.oks fused);
-  Alcotest.(check (list string)) "outcome names stay per-job"
-    (List.map (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_name)
-       solo.Supervisor.outcomes)
-    (List.map (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_name)
-       fused.Supervisor.outcomes)
+  Alcotest.(check (list string)) "outcome names stay per-job" (names solo)
+    (names fused.Supervisor.outcomes)
 
 (* ---- resource governance under supervision ------------------------ *)
 
